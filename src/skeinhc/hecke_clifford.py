@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError, ParityError
-from .scalars import QIQ, q_power
+from .scalars import QIQ
 
 __all__ = [
     "AlgebraElement",
@@ -481,6 +481,8 @@ def _lmul_letter(letter, terms: dict, field) -> dict:
 
 def normalize_full(letters, n: int, field=QIQ) -> AlgebraElement:
     """Expand a generator word into the full-variant basis c_s h_w."""
+    if n < 0:
+        raise DomainError(f"strand count must be nonnegative, got {n}")
     terms = {(0, perm_identity(n)): field.one}
     for letter in reversed(list(letters)):
         _validate_letter(letter, n)
@@ -637,10 +639,7 @@ def antisymmetrizer(N: int, field=QIQ) -> AlgebraElement:
     """
     if N < 2:
         raise DomainError("antisymmetrizer requires N >= 2")
-    if isinstance(field, type(QIQ)):
-        qpow = lambda k: q_power(k)
-    else:
-        qpow = lambda k: field.q ** k
+    qpow = field.q_power
     num: dict = {}
     den = field.zero
     for w in all_perms(N):
@@ -703,7 +702,9 @@ def parse_generator_word(text: str, n: int) -> list:
         inverse = body.endswith("'")
         if inverse:
             body = body[:-1]
-        if kind not in ("t", "v", "e") or not body.isdigit():
+        # at most nine decimal digits: int() rejects some isdigit() strings
+        # ("²") and very long ones, and no strand count comes near 10^9
+        if kind not in ("t", "v", "e") or not body.isdecimal() or len(body) > 9:
             raise DomainError(f"bad generator letter {token!r}")
         j = int(body) - 1
         if kind == "t":

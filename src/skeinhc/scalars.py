@@ -7,10 +7,10 @@ Three layers:
 * :class:`ScalarQ` -- rational functions in the variable q over Q(i),
   stored as a reduced fraction of dense polynomials with a monic
   denominator, so structural equality coincides with equality of values.
-* :class:`CyclotomicValue` -- elements of Q(zeta_m) represented densely
-  modulo the m-th cyclotomic polynomial.  The specialization points of
-  interest send q to the primitive root exp(2*pi*i/(4N)), under which i
-  becomes zeta^N.
+* :class:`CyclotomicValue` -- elements of Q(zeta_m) as an integer vector
+  modulo the m-th cyclotomic polynomial over one positive integer
+  denominator.  The specialization points of interest send q to the
+  primitive root exp(2*pi*i/(4N)), under which i becomes zeta^N.
 
 >>> (Q * Q.inv()) == ONE
 True
@@ -20,10 +20,12 @@ True
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .errors import DomainError, PoleError
+from .errors import ConsistencyError, DomainError, PoleError
 
 __all__ = [
     "GaussianRational",
@@ -95,6 +97,9 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return _gauss(other) / self
 
+    def inv(self):
+        return _G1 / self
+
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
@@ -126,12 +131,12 @@ class GaussianRational:
 
     def __str__(self):
         if not self.im:
-            return _frac_str(self.re)
+            return str(self.re)
         if not self.re:
             return _imag_str(self.im)
         im = _imag_str(self.im) if self.im > 0 else "- " + _imag_str(-self.im)
         sep = " + " if self.im > 0 else " "
-        return f"{_frac_str(self.re)}{sep}{im}"
+        return f"{self.re}{sep}{im}"
 
 
 def _gauss(x) -> GaussianRational:
@@ -140,10 +145,6 @@ def _gauss(x) -> GaussianRational:
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     raise TypeError(f"cannot coerce {x!r} into Q(i)")
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def _imag_str(f: Fraction) -> str:
@@ -182,17 +183,21 @@ def _pneg(a: Poly) -> Poly:
     return tuple(-v for v in a)
 
 
+def _polymul(a, b, zero=0) -> list:
+    """Dense product of coefficient sequences (ints or GaussianRationals)."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, j):
+                if y:
+                    out[k] = out[k] + x * y  # faster than += here
+    return out
+
+
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [_G0] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if not x:
-            continue
-        for k, y in enumerate(b):
-            if y:
-                out[j + k] = out[j + k] + x * y
-    return _ptrim(out)
+    return _ptrim(_polymul(a, b, _G0))
 
 
 def _pscale(a: Poly, c: GaussianRational) -> Poly:
@@ -226,14 +231,6 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     if not a:
         return ()
     return _pscale(a, _G1 / a[-1])  # monic
-
-
-def _peval_cyclo(p: Poly, field: "CyclotomicField") -> "CyclotomicValue":
-    """Evaluate p at q = zeta (Horner), mapping i -> zeta^N."""
-    acc = field.zero
-    for c in reversed(p):
-        acc = acc * field.zeta + field.from_gaussian(c)
-    return acc
 
 
 def _peval_gauss(p: Poly, x: GaussianRational) -> GaussianRational:
@@ -304,16 +301,7 @@ class ScalarQ:
         return ScalarQ(_pneg(self.num), self.den, _normalized=True)
 
     def __pow__(self, k: int):
-        if k < 0:
-            return (ONE / self) ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ONE)
 
     def inv(self):
         return ONE / self
@@ -357,6 +345,19 @@ class ScalarQ:
         if not den:
             raise PoleError(f"denominator vanishes at q = {x}")
         return _peval_gauss(self.num, x) / den
+
+
+def _power(x, k: int, one):
+    """x**k by repeated squaring; a negative k powers x.inv()."""
+    if k < 0:
+        x, k = x.inv(), -k
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
 
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -452,55 +453,87 @@ def loop_value() -> ScalarQ:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic fields Q(zeta_m).
+# Cyclotomic fields Q(zeta_m), on Python ints.
+
+
+def _fold(coeffs: list, deg: int, rule) -> list:
+    """Reduce an int coefficient list modulo the monic Phi with
+    x^deg = sum(c * x^j for j, c in rule), in place and from the top down.
+    Afterwards coeffs[:deg] is the remainder and coeffs[deg:] the quotient."""
+    for k in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[k]
+        if c:
+            base = k - deg
+            for j, r in rule:
+                coeffs[base + j] += c * r
+    return coeffs
 
 
 @lru_cache(maxsize=None)
+def _modulus(m: int) -> tuple:
+    """(deg, rule) for Phi_m over Z: x^deg = sum(c * x^j for j, c in rule)
+    modulo Phi_m.  Phi_m is x^m - 1 divided by the monic Phi_d for every
+    proper divisor d of m, so the divisions are exact over Z."""
+    if m < 1:
+        raise DomainError("cyclotomic order must be positive")
+    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
+    for d in range(1, m):
+        if m % d == 0:
+            deg_d, rule_d = _modulus(d)
+            poly = _fold(poly, deg_d, rule_d)[deg_d:]
+    deg = len(poly) - 1
+    return deg, tuple((j, -c) for j, c in enumerate(poly[:deg]) if c)
+
+
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     """Monic cyclotomic polynomial Phi_n over Q, dense, lowest degree first.
 
     >>> cyclotomic_polynomial(8)
     (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))
     """
-    if n < 1:
-        raise DomainError("cyclotomic order must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _qdiv_rational(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _qdiv_rational(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = list(a)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        out[d] = c
-        for k, v in enumerate(b):
-            a[d + k] -= c * v
-        a.pop()
-        while a and a[-1] == 0 and len(a) >= len(b):
-            a.pop()
-    if any(a):
-        raise ConsistencyError("inexact cyclotomic division")  # pragma: no cover
-    return out
+    deg, rule = _modulus(n)
+    phi = [Fraction(0)] * deg + [Fraction(1)]
+    for j, c in rule:
+        phi[j] = Fraction(-c)
+    return tuple(phi)
 
 
 class CyclotomicValue:
-    """An element of Q(zeta_m), reduced modulo Phi_m(x)."""
+    """An element of Q(zeta_m), reduced modulo Phi_m(x).
 
-    __slots__ = ("order", "coeffs")
+    Stored as num/den: num is an int vector over the power basis
+    1, zeta, ..., zeta^(phi(m) - 1), den a positive int, and den and the
+    entries of num have no common factor.  The form is canonical, so
+    equality is structural.  ``coeffs`` gives the Fraction coefficients.
+    """
 
-    def __init__(self, order: int, coeffs):
-        deg = len(cyclotomic_polynomial(order)) - 1
-        coeffs = [Fraction(c) for c in coeffs]
+    __slots__ = ("order", "num", "den")
+
+    def __init__(self, order: int, coeffs, den=None):
+        deg, rule = _modulus(order)
+        if den is None:  # int or Fraction coefficients
+            coeffs = [Fraction(c) for c in coeffs]
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
         if len(coeffs) > deg:
-            coeffs = _cyclo_reduce(order, coeffs)
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
+            coeffs = _fold(list(coeffs), deg, rule)[:deg]
+        else:
+            coeffs = list(coeffs) + [0] * (deg - len(coeffs))
+        if den != 1:
+            if den < 0:
+                den = -den
+                coeffs = [-c for c in coeffs]
+            g = gcd(den, *coeffs)
+            if g != 1:
+                den //= g
+                coeffs = [c // g for c in coeffs]
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
@@ -509,46 +542,56 @@ class CyclotomicValue:
             raise DomainError("mixed cyclotomic orders")
         return other
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         other = self._check(other)
-        return CyclotomicValue(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da != db:
+            a, b, da = [x * db for x in a], [y * da for y in b], da * db
+        return CyclotomicValue(self.order, [x + sign * y for x, y in zip(a, b)], da)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        return CyclotomicValue(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
         other = self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for j, x in enumerate(a):
-            if not x:
-                continue
-            for k, y in enumerate(b):
-                if y:
-                    out[j + k] += x * y
-        return CyclotomicValue(self.order, out)
+        return CyclotomicValue(
+            self.order, _polymul(self.num, other.num), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return CyclotomicValue(self.order, [-c for c in self.coeffs])
+        return CyclotomicValue(self.order, [-c for c in self.num], self.den)
+
+    def _galois(self, k: int) -> list:
+        """Unreduced exponent vector of sigma_k(num), zeta -> zeta^k."""
+        m = self.order
+        out = [0] * m
+        for j, c in enumerate(self.num):
+            out[j * k % m] += c
+        return out
 
     def inv(self) -> "CyclotomicValue":
+        """1/a as the product of the conjugates sigma_k(a), 1 < k < m
+        coprime to m, divided by the rational norm N(a) = a * that product."""
         if self.is_zero:
             raise DomainError("inverse of zero cyclotomic value")
-        phi = list(cyclotomic_polynomial(self.order))
-        inv = _poly_modinv(list(self.coeffs), phi)
-        return CyclotomicValue(self.order, inv)
+        m = self.order
+        deg, rule = _modulus(m)
+        cof = [1]
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = _fold(self._galois(k), deg, rule)[:deg]
+                cof = _fold(_polymul(cof, conj), deg, rule)[:deg]
+        norm = _fold(_polymul(self.num, cof), deg, rule)[:deg]
+        if any(norm[1:]):
+            raise ConsistencyError("cyclotomic norm is not rational")
+        return CyclotomicValue(m, [c * self.den for c in cof], norm[0])
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -558,52 +601,32 @@ class CyclotomicValue:
         return self._check(other) * self.inv()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = CyclotomicValue(self.order, [1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, CyclotomicValue(self.order, [1]))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CyclotomicValue(self.order, [other])
         if not isinstance(other, CyclotomicValue):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.num, self.den) == (other.order, other.num, other.den)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def conjugate(self) -> "CyclotomicValue":
         """Complex conjugation, zeta -> zeta^(order-1)."""
-        out = CyclotomicValue(self.order, [0])
-        z = CyclotomicValue(self.order, [1])
-        zc = CyclotomicValue(self.order, [0, 1]) ** (self.order - 1)
-        for c in self.coeffs:
-            out = out + c * z
-            z = z * zc
-        return out
+        return CyclotomicValue(self.order, self._galois(-1), self.den)
 
     def __complex__(self):
-        import cmath
-
         z = cmath.exp(2j * cmath.pi / self.order)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
+        return sum(complex(c) * z**k for k, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"CyclotomicValue({self.order}, {list(self.coeffs)!r})"
@@ -622,69 +645,6 @@ class CyclotomicValue:
             else:
                 parts.append(f"{c}*z^{k}" if c != 1 else f"z^{k}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _cyclo_reduce(order: int, coeffs: list) -> list:
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
-        if c:
-            for j in range(deg + 1):
-                coeffs[k - deg + j] -= c * phi[j]
-    return coeffs[:deg]
-
-
-def _poly_modinv(a: list, m: list) -> list:
-    """Inverse of a modulo m in Q[x] via the extended Euclidean algorithm."""
-
-    def divmod_(x, y):
-        x = list(x)
-        q = [Fraction(0)] * max(1, len(x) - len(y) + 1)
-        while x and len(x) >= len(y):
-            c = x[-1] / y[-1]
-            d = len(x) - len(y)
-            q[d] = c
-            for k, v in enumerate(y):
-                x[d + k] -= c * v
-            while x and x[-1] == 0:
-                x.pop()
-        return q, x
-
-    def trim(x):
-        x = list(x)
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    r0, r1 = trim(m), trim(a)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, trim(r)
-        qs = trim(_polymul_rational(q, s1))
-        s = [Fraction(0)] * max(len(s0), len(qs))
-        for k, v in enumerate(s0):
-            s[k] += v
-        for k, v in enumerate(qs):
-            s[k] -= v
-        s0, s1 = s1, trim(s)
-    # r0 = gcd (a unit since Phi is irreducible and a != 0 mod Phi)
-    lead = r0[-1]
-    return [c / lead for c in s0]
-
-
-def _polymul_rational(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                if y:
-                    out[j + k] += x * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -726,10 +686,8 @@ class RationalFunctionField:
     q = Q
     z = Q - ScalarQ((_G1,), (_G0, _G1))  # q - q^(-1)
     loop = (2 * I) / z
-
-    @staticmethod
-    def from_int(k: int) -> ScalarQ:
-        return ScalarQ(k)
+    q_power = staticmethod(q_power)
+    from_int = ScalarQ
 
 
 QIQ = RationalFunctionField()
@@ -743,19 +701,38 @@ class CyclotomicField:
         m = self.point.order
         self.order = m
         self.name = f"Q(zeta_{m})"
-        self.zero = CyclotomicValue(m, [])
-        self.one = CyclotomicValue(m, [1])
-        self.zeta = CyclotomicValue(m, [0, 1])
-        self.q = self.zeta
-        self.i = self.zeta ** N
-        self.z = self.zeta - self.zeta.inv()
+        # zeta^e reduced modulo Phi_m, for 0 <= e < m
+        self.powers = tuple(CyclotomicValue(m, [0] * e + [1], 1) for e in range(m))
+        self.zero = CyclotomicValue(m, [], 1)
+        self.one = self.powers[0]
+        self.zeta = self.q = self.powers[1]
+        self.i = self.powers[N]
+        self.z = self.zeta - self.powers[m - 1]  # zeta - zeta^(-1)
         self.loop = (2 * self.i) / self.z
 
     def from_int(self, k: int) -> CyclotomicValue:
         return CyclotomicValue(self.order, [k])
 
-    def from_gaussian(self, g: GaussianRational) -> CyclotomicValue:
-        return CyclotomicValue(self.order, [g.re]) + g.im * self.i
+    def q_power(self, k: int) -> CyclotomicValue:
+        """zeta^k for any integer k, from the table of reduced powers."""
+        return self.powers[k % self.order]
+
+    def _image(self, poly: Poly, shift: int = 0) -> CyclotomicValue:
+        """The value at q = zeta of sum(c_k * q^(k + shift)) over Q(i).
+
+        With the coefficient denominators cleared, (a + b*i) q^e adds a to
+        the exponent e and b to the exponent e + N (i = zeta^N), modulo
+        the order; the constructor then reduces modulo Phi.
+        """
+        m, N = self.order, self.point.N
+        den = lcm(*(x.denominator for c in poly for x in (c.re, c.im)))
+        acc = [0] * m
+        for e, c in enumerate(poly, shift):
+            if c.re:
+                acc[e % m] += c.re.numerator * (den // c.re.denominator)
+            if c.im:
+                acc[(e + N) % m] += c.im.numerator * (den // c.im.denominator)
+        return CyclotomicValue(m, acc, den)
 
 
 @lru_cache(maxsize=None)
@@ -766,30 +743,44 @@ def _field_for(N: int) -> CyclotomicField:
 def specialize(f: ScalarQ, point: SpecializationPoint | int) -> CyclotomicValue:
     """Exact image of f under q -> zeta_{4N}; raises PoleError at a pole.
 
+    A factor q^v of the (monic) denominator becomes the exponent shift -v
+    of the numerator, so a monomial denominator costs no inverse.
+
     >>> str(specialize(Q, SpecializationPoint(2)))
     'z'
     """
     if isinstance(point, int):
         point = SpecializationPoint(point)
     field = _field_for(point.N)
-    den = _peval_cyclo(f.den, field)
+    v = next(k for k, c in enumerate(f.den) if c)
+    num = field._image(f.num, -v)
+    if len(f.den) == v + 1:
+        return num
+    den = field._image(f.den[v:])
     if den.is_zero:
         raise PoleError(f"denominator of {f} vanishes at q = zeta_{field.order}")
-    return _peval_cyclo(f.num, field) / den
+    return num * den.inv()
 
 
 # ---------------------------------------------------------------------------
 # Textual scalar grammar: integers, i, q, ^ exponents, + - * /, parentheses.
 
+_MAX_NESTING = 100  # parenthesis depth; each level costs four stack frames
+_MAX_POWER_SIZE = 512  # |exponent| * max(degree, coefficient bits) of a power
+
 
 def parse_scalar(text: str) -> ScalarQ:
     """Parse the scalar grammar into an exact ScalarQ.
+
+    Deeper nesting than _MAX_NESTING, and powers whose result would exceed
+    _MAX_POWER_SIZE in degree or coefficient bits, raise DomainError.
 
     >>> parse_scalar("2*i/(q - q^-1)") == loop_value()
     True
     """
     tokens = _tokenize(text)
     pos = [0]
+    depth = [0]
 
     def peek():
         return tokens[pos[0]] if pos[0] < len(tokens) else None
@@ -818,19 +809,21 @@ def parse_scalar(text: str) -> ScalarQ:
         return node
 
     def parse_factor():
-        if peek() == "-":
-            take()
-            return -parse_factor()
-        if peek() == "+":
-            take()
-            return parse_factor()
-        return parse_atom()
+        negate = False
+        while peek() in ("+", "-"):
+            negate ^= take() == "-"
+        node = parse_atom()
+        return -node if negate else node
 
     def parse_atom():
         tok = take()
         if tok == "(":
+            depth[0] += 1
+            if depth[0] > _MAX_NESTING:
+                raise DomainError(f"scalar nested deeper than {_MAX_NESTING}")
             node = parse_expr()
             take(")")
+            depth[0] -= 1
         elif tok == "i":
             node = I
         elif tok == "q":
@@ -841,13 +834,14 @@ def parse_scalar(text: str) -> ScalarQ:
             raise DomainError(f"unexpected token {tok!r} in scalar {text!r}")
         if peek() == "^":
             take()
-            sign = 1
-            if peek() == "-":
+            sign = -1 if peek() == "-" else 1
+            if sign < 0:
                 take()
-                sign = -1
             exp = take()
             if not isinstance(exp, int):
                 raise DomainError(f"bad exponent in scalar {text!r}")
+            if exp * _size(node) > _MAX_POWER_SIZE:
+                raise DomainError(f"power too large in scalar {text!r}")
             node = node ** (sign * exp)
         return node
 
@@ -857,6 +851,16 @@ def parse_scalar(text: str) -> ScalarQ:
     return node
 
 
+def _size(node: ScalarQ) -> int:
+    """max(degree, coefficient bit length) of a scalar, at least 1."""
+    bits = (
+        max(abs(x.numerator), x.denominator).bit_length()
+        for c in node.num + node.den
+        for x in (c.re, c.im)
+    )
+    return max(1, len(node.num) - 1, len(node.den) - 1, *bits)
+
+
 def _tokenize(text: str):
     tokens = []
     k = 0
@@ -864,11 +868,14 @@ def _tokenize(text: str):
         ch = text[k]
         if ch.isspace():
             k += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # int() rejects some isdigit() characters: "²"
             j = k
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(int(text[k:j]))
+            try:
+                tokens.append(int(text[k:j]))
+            except ValueError:  # beyond the interpreter's digit limit
+                raise DomainError(f"integer too long in scalar {text!r}") from None
             k = j
         elif ch in "iq+-*/^()":
             tokens.append(ch)
@@ -876,14 +883,3 @@ def _tokenize(text: str):
         else:
             raise DomainError(f"bad character {ch!r} in scalar {text!r}")
     return tokens
-
-
-# Local import kept at the bottom to avoid a cycle with errors for the
-# consistency check in _qdiv_rational.
-from .errors import ConsistencyError  # noqa: E402
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

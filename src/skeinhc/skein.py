@@ -673,7 +673,7 @@ def parse_diagram_word(text: str) -> list:
         while body and body[-1] in "'<>":
             suffix = body[-1] + suffix
             body = body[:-1]
-        if not body.isdigit():
+        if not body.isdecimal() or len(body) > 9:  # as in parse_generator_word
             raise DomainError(f"bad diagram letter {token!r}")
         idx = int(body) - 1
         if kind == "x":
@@ -803,10 +803,6 @@ def _signature_at(letters, source: str, k: int) -> str:
                 sig[letter.index],
             )
     return "".join(sig)
-
-
-def _signature_trace(letters, source: str) -> list:
-    return [_signature_at(letters, source, k) for k in range(len(letters) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,11 @@ def gram_rank(report: GramReport, point) -> int:
 
 
 def matrix_rank(mat: list, zero) -> int:
-    """Exact Gaussian elimination over any field with /, *, - and is_zero."""
+    """Exact Gaussian elimination over any field with inv, *, - and is_zero.
+
+    Each pivot is inverted once.  Only the columns right of the pivot are
+    updated: the entries left of it are never read again.
+    """
     if not mat:
         return 0
     rows = [list(r) for r in mat]
@@ -320,15 +324,16 @@ def matrix_rank(mat: list, zero) -> int:
             col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
+        prow = rows[rank]
+        pinv = prow[col].inv()
         for r in range(rank + 1, len(rows)):
-            c = rows[r][col]
-            if c.is_zero:
+            row = rows[r]
+            if row[col].is_zero:
                 continue
-            factor = c / pv
-            rows[r] = [
-                rows[r][k] - factor * rows[rank][k] for k in range(ncols)
-            ]
+            factor = row[col] * pinv
+            for k in range(col + 1, ncols):
+                if prow[k]:
+                    row[k] = row[k] - factor * prow[k]
         rank += 1
         col += 1
     return rank

@@ -105,3 +105,29 @@ def test_exit_codes(capsys):
     assert code == 2
     assert main(["nosuchcommand"]) == 1
     assert main(["dims"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "--n", "-1", "--word", ""),
+        ("trace", "--n", "-3", "--word", ""),
+        ("trace", "--n", "-1", "--word", "", "--spec", "3"),
+    ],
+)
+def test_negative_strand_count_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: strand count must be nonnegative")
+
+
+def test_zero_strands_unchanged(capsys):
+    code, out, _ = run(capsys, "trace", "--n", "0", "--word", "")
+    assert code == 0 and out == '{"n": 0, "trace": "1", "word": ""}\n'
+    code, out, _ = run(capsys, "normalize", "--n", "0", "--word", "")
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 0,
+        "terms": [{"coeff": "1", "s": "", "w": []}],
+        "variant": "even",
+    }
