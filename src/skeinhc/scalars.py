@@ -5,8 +5,8 @@ Three layers:
 * :class:`GaussianRational` -- elements a + b*i of Q(i), with exact
   `fractions.Fraction` parts.
 * :class:`ScalarQ` -- rational functions in the variable q over Q(i),
-  stored as a reduced fraction of dense polynomials with a monic
-  denominator, so structural equality coincides with equality of values.
+  stored on ints as a reduced fraction of dense polynomials over Z[i] in
+  a canonical form, so structural equality coincides with equality of values.
 * :class:`CyclotomicValue` -- elements of Q(zeta_m) as an integer vector
   modulo the m-th cyclotomic polynomial over one positive integer
   denominator.  The specialization points of interest send q to the
@@ -21,6 +21,7 @@ True
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -71,12 +72,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = _gauss(other)
-        if not self.im:
-            if not other.im:
-                return GaussianRational(self.re * other.re)
-            return GaussianRational(self.re * other.re, self.re * other.im)
-        if not other.im:
-            return GaussianRational(self.re * other.re, self.im * other.re)
+        if not (self.im or other.im):
+            return GaussianRational(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -134,9 +131,8 @@ class GaussianRational:
             return str(self.re)
         if not self.re:
             return _imag_str(self.im)
-        im = _imag_str(self.im) if self.im > 0 else "- " + _imag_str(-self.im)
-        sep = " + " if self.im > 0 else " "
-        return f"{self.re}{sep}{im}"
+        sign, im = ("+", self.im) if self.im > 0 else ("-", -self.im)
+        return f"{self.re} {sign} {_imag_str(im)}"
 
 
 def _gauss(x) -> GaussianRational:
@@ -148,44 +144,43 @@ def _gauss(x) -> GaussianRational:
 
 
 def _imag_str(f: Fraction) -> str:
-    if f == 1:
-        return "i"
-    if f == -1:
-        return "-i"
-    return f"{f}*i"
+    return "i" if f == 1 else "-i" if f == -1 else f"{f}*i"
 
 
-_G0 = GaussianRational(0)
 _G1 = GaussianRational(1)
 
 # ---------------------------------------------------------------------------
-# Dense polynomials over Q(i), lowest degree first, no trailing zeros.
+# Polynomials over Z[i]: a pair (re, im) of int tuples, lowest degree first,
+# each without trailing zeros (im is () for a real polynomial).
 
-Poly = tuple  # tuple[GaussianRational, ...]
 
-
-def _ptrim(c: list) -> Poly:
+def _trim(c: list) -> tuple:
     while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, v in enumerate(b):
-        out[k] = out[k] + v
-    return _ptrim(out)
+def _low(p: tuple) -> int:
+    """Index of the lowest nonzero entry of p; 2^62 if there is none."""
+    for k, c in enumerate(p):
+        if c:
+            return k
+    return 1 << 62
 
 
-def _pneg(a: Poly) -> Poly:
-    return tuple(-v for v in a)
+def _comb(a: int, x, b: int, y) -> tuple:
+    """a*x + b*y for int sequences x and y, trimmed."""
+    if len(x) < len(y):
+        a, x, b, y = b, y, a, x
+    out = [a * c for c in x] if a != 1 else list(x)
+    for k, c in enumerate(y):
+        out[k] += b * c
+    return _trim(out)
 
 
-def _polymul(a, b, zero=0) -> list:
-    """Dense product of coefficient sequences (ints or GaussianRationals)."""
-    out = [zero] * (len(a) + len(b) - 1)
+def _polymul(a, b) -> list:
+    """Dense product of two int coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
     for j, x in enumerate(a):
         if x:
             for k, y in enumerate(b, j):
@@ -194,111 +189,166 @@ def _polymul(a, b, zero=0) -> list:
     return out
 
 
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    return _ptrim(_polymul(a, b, _G0))
+def _gmul(ar, ai, br, bi) -> tuple:
+    """(ar + i*ai) * (br + i*bi), one _polymul per pair of nonzero parts."""
+    re = tuple(_polymul(ar, br)) if ar and br else ()
+    im = tuple(_polymul(ar, bi)) if ar and bi else ()
+    if ai:
+        if bi:
+            re = _comb(1, re, -1, _polymul(ai, bi))
+        if br:
+            im = _comb(1, im, 1, _polymul(ai, br))
+    return re, im
 
 
-def _pscale(a: Poly, c: GaussianRational) -> Poly:
-    if not c:
-        return ()
-    return tuple(v * c for v in a)
+def _normal(polys: tuple) -> tuple:
+    """polys, a tuple of (re, im) pairs, times the conjugate a - b*i of the
+    lead a + b*i of the last one, which makes that lead a positive integer,
+    and then divided by the gcd of all their ints; a zero last one stays."""
+    re, im = polys[-1]
+    if not (re or im):
+        return polys
+    a = re[-1] if len(re) >= len(im) else 0
+    b = im[-1] if len(im) >= len(re) else 0
+    if b or a < 0:  # for b == 0 the gcd divides out |a| again
+        polys = tuple((_comb(a, re, b, im), _comb(a, im, -b, re)) for re, im in polys)
+    g = gcd(*(c for p in polys for part in p for c in part))
+    if g == 1:
+        return polys
+    return tuple(tuple(tuple(c // g for c in part) for part in p) for p in polys)
 
 
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise DomainError("polynomial division by zero")
-    a = list(a)
-    q = [_G0] * max(0, len(a) - len(b) + 1)
-    inv_lead = _G1 / b[-1]
-    while len(a) >= len(b) and _ptrim(list(a)):
-        a = list(_ptrim(a))
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q[d] = c
-        for k, v in enumerate(b):
-            a[d + k] = a[d + k] - c * v
-        a.pop()
-    return _ptrim(q), _ptrim(a)
+def _gdivmod(a: tuple, b: tuple, e: int | None = None) -> tuple:
+    """(quotient, remainder) of l^e * a by b over Z[i], where b's leading
+    coefficient l is a positive integer.  e defaults to deg a - deg b + 1
+    (pseudo-division); every step divides by l exactly."""
+    (ar, ai), (br, bi) = a, b
+    n, l = len(br) - 1, br[-1]
+    m = max(len(ar), len(ai)) - 1
+    f = l ** (m - n + 1 if e is None else e)
+    ar = [f * c for c in ar] + [0] * (m + 1 - len(ar))
+    ai = [f * c for c in ai] + [0] * (m + 1 - len(ai))
+    qr, qi = [0] * (m - n + 1), [0] * (m - n + 1)
+    for d in range(m - n, -1, -1):
+        cr = qr[d] = ar[d + n] // l
+        ci = qi[d] = ai[d + n] // l
+        for j, c in enumerate(br, d):
+            ar[j] -= cr * c
+            ai[j] -= ci * c
+        for j, c in enumerate(bi, d):
+            ar[j] += ci * c
+            ai[j] -= cr * c
+    return (_trim(qr), _trim(qi)), (_trim(ar[:n]), _trim(ai[:n]))
 
 
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _pscale(a, _G1 / a[-1])  # monic
+def _gcd(a: tuple, b: tuple) -> tuple:
+    """A gcd over Q(i)[q] of two nonzero polynomials over Z[i]: the
+    primitive pseudo-remainder sequence."""
+    a, b = sorted((_normal((p,))[0] for p in (a, b)), key=lambda p: -len(p[0]))
+    while b[0] or b[1]:
+        a, b = b, _normal((_gdivmod(a, b)[1],))[0]
+    return a
 
 
-def _peval_gauss(p: Poly, x: GaussianRational) -> GaussianRational:
-    acc = GaussianRational(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
+def _canonical(nr, ni, dr, di) -> tuple:
+    """The canonical form of (nr + i*ni)/(dr + i*di) over Z[i]: numerator
+    and denominator coprime over Q(i)[q], the denominator's leading
+    coefficient a positive integer L, and the gcd of all their ints 1.
+    Divided by L, that is the reduced fraction with a monic denominator."""
+    if not (dr or di):
+        raise DomainError("zero denominator")
+    if not (nr or ni):
+        return (), (), (1,), ()
+    shift = min(_low(nr), _low(ni), _low(dr), _low(di))
+    if shift:
+        nr, ni, dr, di = nr[shift:], ni[shift:], dr[shift:], di[shift:]
+    top = max(len(dr), len(di)) - 1
+    if min(_low(dr), _low(di)) < top:  # else a monomial: the gcd is 1
+        g = _gcd((nr, ni), (dr, di))
+        if len(g[0]) > 1:
+            e = max(len(nr), len(ni), top + 1) - len(g[0]) + 1
+            nr, ni = _gdivmod((nr, ni), g, e)[0]
+            dr, di = _gdivmod((dr, di), g, e)[0]
+    if dr[-1:] != (1,) or len(di) >= len(dr):  # the lead is not 1
+        (nr, ni), (dr, di) = _normal(((nr, ni), (dr, di)))
+    return nr, ni, dr, di
 
 
 class ScalarQ:
     """A rational function in q over Q(i), kept in reduced normal form.
 
-    Invariants: gcd(num, den) = 1 and den is monic, so two ScalarQ values
-    are equal as functions iff they are structurally equal.
+    Stored on ints as ``_parts = (nr, ni, dr, di)``: (nr + i*ni)/(dr + i*di)
+    in the form of `_canonical`, so two ScalarQ values are equal as
+    functions iff they are structurally equal.  ``num`` and ``den`` give
+    the reduced fraction with a monic denominator as GaussianRational tuples.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_parts",)
 
-    def __init__(self, num=(), den=(_G1,), _normalized=False):
-        if isinstance(num, (int, Fraction, GaussianRational)):
-            num = (_gauss(num),) if num else ()
-        if isinstance(den, (int, Fraction, GaussianRational)):
-            den = (_gauss(den),) if den else ()
-        num = _ptrim(list(num))
-        den = _ptrim(list(den))
-        if not den:
-            raise DomainError("zero denominator")
-        if not _normalized:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, num=(), den=(_G1,), _parts=None):
+        if _parts is None:
+            num = (_gauss(num),) if isinstance(num, _COEFF) else tuple(map(_gauss, num))
+            den = (_gauss(den),) if isinstance(den, _COEFF) else tuple(map(_gauss, den))
+            scale = lcm(*(x.denominator for c in num + den for x in (c.re, c.im)))
+            _parts = tuple(
+                _trim([x.numerator * (scale // x.denominator) for x in part])
+                for p in (num, den)
+                for part in ([c.re for c in p], [c.im for c in p])
+            )
+        self._parts = _canonical(*_parts)
+
+    def _poly(self, re, im) -> tuple:
+        lead, n = self._parts[2][-1], max(len(re), len(im))
+        re, im = re + (0,) * (n - len(re)), im + (0,) * (n - len(im))
+        return tuple(
+            GaussianRational(Fraction(a, lead), Fraction(b, lead))
+            for a, b in zip(re, im)
+        )
+
+    num = property(lambda self: self._poly(*self._parts[:2]))
+    den = property(lambda self: self._poly(*self._parts[2:]))
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
-        other = _scalar(other)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return ScalarQ(num, _pmul(self.den, other.den))
+    def __add__(self, other, sign=1):
+        nr, ni, dr, di = self._parts
+        onr, oni, odr, odi = _scalar(other)._parts
+        if dr == odr and di == odi:
+            num = _comb(1, nr, sign, onr), _comb(1, ni, sign, oni)
+            return ScalarQ(_parts=(*num, dr, di))
+        ar, ai = _gmul(nr, ni, odr, odi)
+        br, bi = _gmul(onr, oni, dr, di)
+        den = _gmul(dr, di, odr, odi)
+        return ScalarQ(_parts=(_comb(1, ar, sign, br), _comb(1, ai, sign, bi), *den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _scalar(other)
-        num = _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den)))
-        return ScalarQ(num, _pmul(self.den, other.den))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return _scalar(other) - self
 
-    def __mul__(self, other):
-        other = _scalar(other)
-        return ScalarQ(_pmul(self.num, other.num), _pmul(self.den, other.den))
+    def __mul__(self, other, invert=False):
+        nr, ni, dr, di = self._parts
+        onr, oni, odr, odi = _scalar(other)._parts
+        if invert:
+            if not (onr or oni):
+                raise DomainError("division by zero scalar")
+            onr, oni, odr, odi = odr, odi, onr, oni
+        return ScalarQ(_parts=(*_gmul(nr, ni, onr, oni), *_gmul(dr, di, odr, odi)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _scalar(other)
-        if not other.num:
-            raise DomainError("division by zero scalar")
-        return ScalarQ(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return self.__mul__(other, True)
 
     def __rtruediv__(self, other):
         return _scalar(other) / self
 
     def __neg__(self):
-        return ScalarQ(_pneg(self.num), self.den, _normalized=True)
+        nr, ni, dr, di = self._parts
+        neg = (_comb(-1, nr, 0, ()), _comb(-1, ni, 0, ()))
+        return ScalarQ(_parts=(*neg, dr, di))
 
     def __pow__(self, k: int):
         return _power(self, k, ONE)
@@ -308,43 +358,53 @@ class ScalarQ:
 
     # -- structure ----------------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _COEFF):
             other = _scalar(other)
         if not isinstance(other, ScalarQ):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._parts == other._parts
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self._parts)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._parts[0] or self._parts[1])
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not (self._parts[0] or self._parts[1])
 
     def __repr__(self):
         return f"ScalarQ({self!s})"
 
     def __str__(self):
+        nr, ni, dr, _ = self._parts
         num = _poly_str(self.num)
-        if self.den == (_G1,):
+        if len(dr) == 1:  # the constant L, so den == (1,)
             return num
-        den = _poly_str(self.den)
-        if len(self.num) > 1 or (self.num and (self.num[0].re and self.num[0].im)):
+        if max(len(nr), len(ni)) > 1 or (nr and ni):
             num = f"({num})"
-        if len(self.den) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return f"{num}/({_poly_str(self.den)})"
 
     def eval_at(self, x) -> GaussianRational:
-        """Evaluate at a rational (or Gaussian-rational) value of q."""
+        """Evaluate at a rational (or Gaussian-rational) value of q.
+
+        With x = (xr + i*xi)/s, the remainder of s^d * p by s*q - xr - i*xi
+        is s^d * p(x); s^d cancels between numerator and denominator."""
         x = _gauss(x)
-        den = _peval_gauss(self.den, x)
+        s = lcm(x.re.denominator, x.im.denominator)
+        xr, xi = (v.numerator * (s // v.denominator) for v in (x.re, x.im))
+        root, d = ((-xr, s), (-xi,)), max(map(len, self._parts)) - 1
+        num, den = (
+            GaussianRational(*((r or (0,))[0] for r in _gdivmod(p, root, d)[1]))
+            for p in (self._parts[:2], self._parts[2:])
+        )
         if not den:
             raise PoleError(f"denominator vanishes at q = {x}")
-        return _peval_gauss(self.num, x) / den
+        return num / den
+
+
+_COEFF = (int, Fraction, GaussianRational)
 
 
 def _power(x, k: int, one):
@@ -360,76 +420,26 @@ def _power(x, k: int, one):
     return out
 
 
-def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if not num:
-        return (), (_G1,)
-    if len(den) == 1:
-        if den[0] == _G1:
-            return num, den
-        return _pscale(num, _G1 / den[0]), (_G1,)
-    # strip common powers of q cheaply before the general gcd
-    vn = next(k for k, c in enumerate(num) if c)
-    vd = next(k for k, c in enumerate(den) if c)
-    shift = vn if vn < vd else vd
-    if shift:
-        num = num[shift:]
-        den = den[shift:]
-        if len(den) == 1:
-            return _reduce(num, den)
-    if not any(den[:-1]):  # monomial denominator: gcd is now trivial
-        lead = den[-1]
-        if lead != _G1:
-            inv = _G1 / lead
-            return _pscale(num, inv), _pscale(den, inv)
-        return num, den
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-    lead = den[-1]
-    if lead != _G1:
-        inv = _G1 / lead
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
-    return num, den
-
-
 def _scalar(x) -> ScalarQ:
     if isinstance(x, ScalarQ):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if isinstance(x, _COEFF):
         return ScalarQ(x)
     raise TypeError(f"cannot coerce {x!r} into Q(i)(q)")
 
 
-def _poly_str(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
+def _poly_str(p: tuple) -> str:
+    terms = []
     for k in range(len(p) - 1, -1, -1):
         c = p[k]
-        if not c:
-            continue
-        if k == 0:
-            mon = ""
-        elif k == 1:
-            mon = "q"
-        else:
-            mon = f"q^{k}"
-        cs = str(c)
-        if (c.re and c.im) and mon:
-            cs = f"({cs})"
-        if mon and cs == "1":
-            term = mon
-        elif mon and cs == "-1":
-            term = f"-{mon}"
-        elif mon:
-            term = f"{cs}*{mon}"
-        else:
-            term = cs
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
+        if c:
+            mon = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+            cs = f"({c})" if c.re and c.im and mon else str(c)
+            if mon:
+                cs = mon if cs == "1" else f"-{mon}" if cs == "-1" else f"{cs}*{mon}"
+            terms.append(cs)
+    out = terms[0] if terms else "0"
+    for term in terms[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
 
@@ -437,14 +447,14 @@ def _poly_str(p: Poly) -> str:
 ZERO = ScalarQ(0)
 ONE = ScalarQ(1)
 I = ScalarQ(GaussianRational(0, 1))
-Q = ScalarQ((_G0, _G1))
+Q = ScalarQ((0, 1))
 
 
 def q_power(k: int) -> ScalarQ:
     """q**k for any integer k (negative allowed)."""
-    if k >= 0:
-        return ScalarQ(tuple([_G0] * k + [_G1]))
-    return ScalarQ((_G1,), tuple([_G0] * (-k) + [_G1]))
+    mono = (0,) * abs(k) + (1,)
+    parts = (mono, (), (1,), ()) if k >= 0 else ((1,), (), mono, ())
+    return ScalarQ(_parts=parts)
 
 
 def loop_value() -> ScalarQ:
@@ -651,28 +661,19 @@ class CyclotomicValue:
 # Specialization points and field adapters.
 
 
+@dataclass(frozen=True)
 class SpecializationPoint:
     """The evaluation q -> exp(2*pi*i/(4N)), a primitive 4N-th root with q^N = i."""
 
-    __slots__ = ("N",)
+    N: int
 
-    def __init__(self, N: int):
-        if N < 2:
+    def __post_init__(self):
+        if self.N < 2:
             raise DomainError("specialization points require N >= 2")
-        self.N = N
 
     @property
     def order(self) -> int:
         return 4 * self.N
-
-    def __eq__(self, other):
-        return isinstance(other, SpecializationPoint) and self.N == other.N
-
-    def __hash__(self):
-        return hash(("spec", self.N))
-
-    def __repr__(self):
-        return f"SpecializationPoint(N={self.N})"
 
 
 class RationalFunctionField:
@@ -684,7 +685,7 @@ class RationalFunctionField:
     one = ONE
     i = I
     q = Q
-    z = Q - ScalarQ((_G1,), (_G0, _G1))  # q - q^(-1)
+    z = Q - q_power(-1)
     loop = (2 * I) / z
     q_power = staticmethod(q_power)
     from_int = ScalarQ
@@ -717,22 +718,16 @@ class CyclotomicField:
         """zeta^k for any integer k, from the table of reduced powers."""
         return self.powers[k % self.order]
 
-    def _image(self, poly: Poly, shift: int = 0) -> CyclotomicValue:
-        """The value at q = zeta of sum(c_k * q^(k + shift)) over Q(i).
-
-        With the coefficient denominators cleared, (a + b*i) q^e adds a to
-        the exponent e and b to the exponent e + N (i = zeta^N), modulo
-        the order; the constructor then reduces modulo Phi.
-        """
-        m, N = self.order, self.point.N
-        den = lcm(*(x.denominator for c in poly for x in (c.re, c.im)))
+    def _image(self, re: tuple, im: tuple, shift: int = 0) -> list:
+        """The exponent vector of sum((re[k] + i*im[k]) * q^(k + shift)) at
+        q = zeta: re[k] goes to the exponent k + shift and im[k] to
+        k + shift + N (i = zeta^N), modulo the order."""
+        m = self.order
         acc = [0] * m
-        for e, c in enumerate(poly, shift):
-            if c.re:
-                acc[e % m] += c.re.numerator * (den // c.re.denominator)
-            if c.im:
-                acc[(e + N) % m] += c.im.numerator * (den // c.im.denominator)
-        return CyclotomicValue(m, acc, den)
+        for part, base in ((re, shift), (im, shift + self.point.N)):
+            for e, c in enumerate(part, base):
+                acc[e % m] += c
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -740,11 +735,15 @@ def _field_for(N: int) -> CyclotomicField:
     return CyclotomicField(N)
 
 
-def specialize(f: ScalarQ, point: SpecializationPoint | int) -> CyclotomicValue:
+def specialize(
+    f: ScalarQ, point: SpecializationPoint | int, inverses: dict | None = None
+) -> CyclotomicValue:
     """Exact image of f under q -> zeta_{4N}; raises PoleError at a pole.
 
-    A factor q^v of the (monic) denominator becomes the exponent shift -v
-    of the numerator, so a monomial denominator costs no inverse.
+    A factor q^v of the denominator becomes the exponent shift -v of the
+    numerator, so a monomial denominator costs no inverse.  ``inverses``,
+    if given, maps the rest of a denominator to its inverse at this point;
+    calls at the same point that share it invert each denominator once.
 
     >>> str(specialize(Q, SpecializationPoint(2)))
     'z'
@@ -752,14 +751,20 @@ def specialize(f: ScalarQ, point: SpecializationPoint | int) -> CyclotomicValue:
     if isinstance(point, int):
         point = SpecializationPoint(point)
     field = _field_for(point.N)
-    v = next(k for k, c in enumerate(f.den) if c)
-    num = field._image(f.num, -v)
-    if len(f.den) == v + 1:
-        return num
-    den = field._image(f.den[v:])
-    if den.is_zero:
-        raise PoleError(f"denominator of {f} vanishes at q = zeta_{field.order}")
-    return num * den.inv()
+    m, (nr, ni, dr, di) = field.order, f._parts
+    v = min(_low(dr), _low(di))
+    num = field._image(nr, ni, -v)
+    if len(dr) == v + 1:  # L * q^v
+        return CyclotomicValue(m, num, dr[-1])
+    inverses = {} if inverses is None else inverses
+    key = (dr[v:], di[v:])
+    inv = inverses.get(key)
+    if inv is None:
+        den = CyclotomicValue(m, field._image(*key), 1)
+        if den.is_zero:
+            raise PoleError(f"denominator of {f} vanishes at q = zeta_{m}")
+        inv = inverses[key] = den.inv()
+    return CyclotomicValue(m, num, 1) * inv
 
 
 # ---------------------------------------------------------------------------
@@ -795,17 +800,13 @@ def parse_scalar(text: str) -> ScalarQ:
     def parse_expr():
         node = parse_term()
         while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
+            node = node + parse_term() if take() == "+" else node - parse_term()
         return node
 
     def parse_term():
         node = parse_factor()
         while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            node = node * rhs if op == "*" else node / rhs
+            node = node * parse_factor() if take() == "*" else node / parse_factor()
         return node
 
     def parse_factor():
@@ -834,9 +835,7 @@ def parse_scalar(text: str) -> ScalarQ:
             raise DomainError(f"unexpected token {tok!r} in scalar {text!r}")
         if peek() == "^":
             take()
-            sign = -1 if peek() == "-" else 1
-            if sign < 0:
-                take()
+            sign = -1 if peek() == "-" and take() else 1
             exp = take()
             if not isinstance(exp, int):
                 raise DomainError(f"bad exponent in scalar {text!r}")

@@ -293,8 +293,9 @@ def gram_rank(report: GramReport, point) -> int:
         return rank
     if isinstance(point, int):
         point = SpecializationPoint(point)
+    inverses = {}  # each distinct denominator is inverted once
     try:
-        mat = [[specialize(c, point) for c in row] for row in report.entries]
+        mat = [[specialize(c, point, inverses) for c in row] for row in report.entries]
     except PoleError as exc:
         raise PoleError(f"Gram entry has a pole at N={point.N}: {exc}") from exc
     rank = matrix_rank(mat, CyclotomicField(point.N).zero)
