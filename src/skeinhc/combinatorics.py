@@ -138,18 +138,15 @@ def count_pair_tableaux(mu: YoungDiagram, lam: YoungDiagram) -> int:
     mu, lam = as_diagram(mu), as_diagram(lam)
     if not contains(mu, lam):
         return 0
-    memo: dict = {}
     full_mu = mu
     skew_full = tuple(
         lam[k] - (mu[k] if k < len(mu) else 0) for k in range(len(lam))
     )
 
+    @lru_cache(maxsize=None)
     def rec(inner: YoungDiagram, skew_filled: tuple) -> int:
         # inner: the sub-diagram of mu filled so far; skew_filled[k]: boxes
         # filled so far in row k of lam/mu (a left-justified prefix of it).
-        key = (inner, skew_filled)
-        if key in memo:
-            return memo[key]
         if inner == full_mu and skew_filled == skew_full:
             return 1
         total = 0
@@ -169,7 +166,6 @@ def count_pair_tableaux(mu: YoungDiagram, lam: YoungDiagram) -> int:
             total += rec(
                 inner, skew_filled[:k] + (skew_filled[k] + 1,) + skew_filled[k + 1 :]
             )
-        memo[key] = total
         return total
 
     return rec((), tuple(0 for _ in lam))
@@ -190,14 +186,11 @@ def count_paths_double_young(
         raise DomainError("path length must be nonnegative")
     start = (as_diagram(start[0]), as_diagram(start[1]))
     end = (as_diagram(end[0]), as_diagram(end[1]))
-    memo: dict = {}
 
+    @lru_cache(maxsize=None)
     def rec(state, remaining):
         if remaining == 0:
             return 1 if state == end else 0
-        key = (state, remaining)
-        if key in memo:
-            return memo[key]
         lam, mu = state
         total = 0
         for nxt in add_box_results(lam):
@@ -206,7 +199,6 @@ def count_paths_double_young(
         for nxt in remove_box_results(mu):
             if contains(end[1], nxt):
                 total += rec((lam, nxt), remaining - 1)
-        memo[key] = total
         return total
 
     return rec(start, length)

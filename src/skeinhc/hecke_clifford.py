@@ -191,11 +191,7 @@ class AlgebraElement:
         self._compat(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, self.field.zero) + c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _add_term(out, key, c)
         return AlgebraElement(self.n, self.variant, out, self.field)
 
     def __sub__(self, other):
@@ -337,8 +333,8 @@ def _hecke_lmul(j: int, w: Perm, c, z, out: dict, vmask: int):
         _add_term(out, (vmask, w), c * z)
 
 
-def _lmul_t(j: int, terms: dict, z) -> dict:
-    """Left-multiply a full-variant term dict by t_j."""
+def _lmul_t(j: int, terms: dict, z, inverse: bool = False) -> dict:
+    """Left-multiply a full-variant term dict by t_j (or t_j^(-1) = t_j - z)."""
     out: dict = {}
     for (vmask, w), coeff in terms.items():
         vlist = _bits(vmask)
@@ -361,6 +357,9 @@ def _lmul_t(j: int, terms: dict, z) -> dict:
                 rec(k + 1, emitted + (l,), c)
 
         rec(0, (), coeff)
+    if inverse:
+        for key, c in terms.items():
+            _add_term(out, key, -c * z)
     return out
 
 
@@ -393,84 +392,41 @@ def _rmul_t(terms: dict, j: int, z, inverse: bool = False) -> dict:
     return out
 
 
-def _rmul_v(terms: dict, l: int, z) -> dict:
-    """Right-multiply a full-variant term dict by v_l: the token is pushed
-    left through the braid word; quadratic corrections drop braid letters,
-    so partial products are re-multiplied with the honest Hecke rule."""
-    out: dict = {}
-    cache: dict = {}
-    for (vmask, w), coeff in terms.items():
-        pieces = cache.get(w)
-        if pieces is None:
-            pieces = _v_walk(w, l, z)
-            cache[w] = pieces
-        for (idx, s), mult in pieces.items():
-            above = vmask >> (idx + 1)
-            sign = -1 if (bin(above).count("1") & 1) else 1
-            c = coeff * mult
-            _add_term(out, (vmask ^ (1 << idx), s), c if sign > 0 else -c)
-    return out
+def _clifford_sign(s: int, t: int) -> int:
+    """The sign in c_s c_t = +-c_(s xor t): one factor -1 for each pair of
+    v_a in c_s and v_b in c_t with a > b."""
+    swaps = sum(bin(s >> (b + 1)).count("1") for b in _bits(t))
+    return -1 if swaps & 1 else 1
 
 
-_VWALK_CACHE: dict = {}
-
-
-def _v_walk(w: Perm, l: int, z) -> dict:
-    """Pieces (token index, surviving suffix perm) -> multiplier for pushing
-    a single v-token right-to-left through the braid word of w (cached)."""
-    key = (w, l, z)
-    hit = _VWALK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pieces = {(l, perm_identity(len(w))): z ** 0}
+@lru_cache(maxsize=None)
+def _expand(w: Perm, vmask: int, field) -> dict:
+    """The product h_w c_vmask in the full basis c_s h_w (cached; callers
+    must not mutate the result)."""
+    cur = {(vmask, perm_identity(len(w))): field.one}
     for i in reversed(reduced_word(w)):
-        nxt: dict = {}
-        for (idx, s), c in pieces.items():
-            if idx == i:
-                _lmul_piece(nxt, i + 1, s, c, i, z)
-            elif idx == i + 1:
-                _lmul_piece(nxt, i, s, c, i, z)
-                _add_piece(nxt, i, s, -c * z)
-                _add_piece(nxt, i + 1, s, c * z)
-            else:
-                _lmul_piece(nxt, idx, s, c, i, z)
-        pieces = nxt
-    _VWALK_CACHE[key] = pieces
-    return pieces
+        cur = _lmul_t(i, cur, field.z)
+    return cur
 
 
-def _add_piece(pieces: dict, idx: int, s: Perm, c):
-    key = (idx, s)
-    v = pieces.get(key)
-    v = c if v is None else v + c
-    if v.is_zero:
-        pieces.pop(key, None)
-    else:
-        pieces[key] = v
-
-
-def _lmul_piece(pieces: dict, idx: int, s: Perm, c, i: int, z):
-    """Add contributions of the token (index idx) followed by t_i * h_s."""
-    sp = tuple(i + 1 if x == i else i if x == i + 1 else x for x in s)
-    _add_piece(pieces, idx, sp, c)
-    if s.index(i) > s.index(i + 1):  # descent: extra z-term
-        _add_piece(pieces, idx, s, c * z)
-
-
-def _rmul_e(terms: dict, j: int, z) -> dict:
-    """Right-multiply a full-variant term dict by e_j = v_j v_{j+1}."""
-    return _rmul_v(_rmul_v(terms, j, z), j + 1, z)
+def _rmul_e(terms: dict, j: int, field) -> dict:
+    """Right-multiply a full-variant term dict by e_j = v_j v_{j+1}: each
+    c_s h_w becomes c_s (h_w e_j), read off the cached expansion of h_w e_j."""
+    out: dict = {}
+    for (vmask, w), coeff in terms.items():
+        for (smask, u), c in _expand(w, 3 << j, field).items():
+            c = coeff * c
+            if _clifford_sign(vmask, smask) < 0:
+                c = -c
+            _add_term(out, (vmask ^ smask, u), c)
+    return out
 
 
 def _lmul_letter(letter, terms: dict, field) -> dict:
     kind = letter[0]
     if kind == "t":
         _, j, exp = letter
-        out = _lmul_t(j, terms, field.z)
-        if exp < 0:
-            for key, c in terms.items():
-                _add_term(out, key, -c * field.z)
-        return out
+        return _lmul_t(j, terms, field.z, inverse=exp < 0)
     if kind == "v":
         return _lmul_v(letter[1], terms)
     if kind == "e":
@@ -529,7 +485,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             for i in reduced_word(w):
                 cur = _rmul_t(cur, i, z)
             for j in _bits(emask):
-                cur = _rmul_e(cur, j, z)
+                cur = _rmul_e(cur, j, a.field)
             for key, c in cur.items():
                 _add_term(out, key, c)
         return even_convert(AlgebraElement(a.n, "full", out, a.field))
@@ -545,28 +501,13 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.n, "full", out, a.field)
 
 
-_EXPAND_CACHE: dict = {}
-
-
-def _expand_monomial(n: int, w: Perm, emask: int, field) -> dict:
-    """Full-basis expansion of the even basis monomial h_w e_s (cached)."""
-    key = (field.name, n, w, emask)
-    hit = _EXPAND_CACHE.get(key)
-    if hit is None:
-        cur = {(_e_to_v(emask), perm_identity(n)): field.one}
-        for i in reversed(reduced_word(w)):
-            cur = _lmul_t(i, cur, field.z)
-        _EXPAND_CACHE[key] = hit = cur
-    return hit
-
-
 def even_expand(a: AlgebraElement) -> AlgebraElement:
     """Rewrite an even-variant element in the full basis c_s h_w."""
     if a.variant == "full":
         return a
     out: dict = {}
     for (w, emask), c in a.terms.items():
-        for key, cc in _expand_monomial(a.n, w, emask, a.field).items():
+        for key, cc in _expand(w, _e_to_v(emask), a.field).items():
             _add_term(out, key, cc * c)
     return AlgebraElement(a.n, "full", out, a.field)
 
@@ -592,7 +533,7 @@ def even_convert(a: AlgebraElement) -> AlgebraElement:
             for l in _bits(vm):
                 tmask |= 1 << winv[l]
             emask = _v_to_e(tmask)  # raises ParityError on odd degree
-            expansion = _expand_monomial(a.n, w, emask, a.field)
+            expansion = _expand(w, tmask, a.field)
             gamma = expansion.get((vm, w))
             if gamma is None or gamma.is_zero:
                 raise ConsistencyError("lost leading term in even conversion")

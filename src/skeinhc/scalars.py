@@ -711,6 +711,13 @@ class CyclotomicField:
         self.z = self.zeta - self.powers[m - 1]  # zeta - zeta^(-1)
         self.loop = (2 * self.i) / self.z
 
+    # equal orders make equal fields, so fields built separately share memos
+    def __eq__(self, other):
+        return isinstance(other, CyclotomicField) and other.order == self.order
+
+    def __hash__(self):
+        return hash(self.order)
+
     def from_int(self, k: int) -> CyclotomicValue:
         return CyclotomicValue(self.order, [k])
 

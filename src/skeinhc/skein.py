@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 from .hecke_clifford import (
     AlgebraElement,
+    _add_term,
     _lmul_t,
     _rmul_e,
     _rmul_t,
@@ -158,7 +160,7 @@ class _State:
             (vmask, w + (m_old,)): c for (vmask, w), c in self.terms.items()
         }
         for k in range(m_old - 1, u_new - 1, -1):  # chain re-laning, below
-            terms = _lmul_t_inv(terms, k, z)
+            terms = _lmul_t(k, terms, z, inverse=True)
         for k in range(m_old - 1, r - 1, -1):  # the sweep, above
             terms = _rmul_t(terms, k, z, inverse=True)
         self.m = m_old + 1
@@ -206,7 +208,7 @@ class _State:
         self.terms = _rmul_t(self.terms, r, self.field.z, inverse=not positive)
 
     def vladder(self, r: int):
-        self.terms = _rmul_e(self.terms, r, self.field.z)
+        self.terms = _rmul_e(self.terms, r, self.field)
 
     def apply(self, letter):
         if isinstance(letter, Crossing):
@@ -219,27 +221,6 @@ class _State:
             self.cap(letter.index)
         else:
             raise DomainError(f"unknown diagram letter {letter!r}")
-
-    def clone(self) -> "_State":
-        out = _State.__new__(_State)
-        out.sig = list(self.sig)
-        out.m = self.m
-        out.terms = dict(self.terms)
-        out.p1 = self.p1
-        out.field = self.field
-        return out
-
-
-def _lmul_t_inv(terms: dict, k: int, z) -> dict:
-    out = _lmul_t(k, terms, z)
-    for key, c in terms.items():
-        s = out.get(key)
-        s = -c * z if s is None else s - c * z
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
 
 
 def _apply_hom_word(state: _State, key, s_from: str, s_to: str, part_start: int):
@@ -298,39 +279,27 @@ def _pos_of_rank(state: _State, r: int) -> int:
 # computed once per signature pair; on +^n <-> +^n the matrix is the identity.
 
 
-_COLUMN_CACHE: dict = {}
-_INVERSE_CACHE: dict = {}
-
-
 def _is_plus_pair(source: str, target: str) -> bool:
     m = (len(source) + len(target)) // 2
     return source == target == "+" * m
 
 
+@lru_cache(maxsize=None)
 def _basis_column(source: str, target: str, key, field=QIQ) -> dict:
     """Bent coordinates of one hom-basis diagram (cached per key)."""
-    cache_key = (source, target, field.name, key)
-    hit = _COLUMN_CACHE.get(cache_key)
-    if hit is None:
-        state = _State(source, field)
-        _apply_hom_word(state, key, source, target, 0)
-        if "".join(state.sig) != _sorted_sig(target):
-            raise ConsistencyError("basis word left an unexpected boundary")
-        hit = dict(state.x.terms)
-        _COLUMN_CACHE[cache_key] = hit
-    return hit
+    state = _State(source, field)
+    _apply_hom_word(state, key, source, target, 0)
+    if "".join(state.sig) != _sorted_sig(target):
+        raise ConsistencyError("basis word left an unexpected boundary")
+    return dict(state.x.terms)
 
 
+@lru_cache(maxsize=None)
 def _basis_inverse(source: str, target: str, field=QIQ):
-    cache_key = (source, target, field.name)
-    hit = _INVERSE_CACHE.get(cache_key)
-    if hit is None:
-        m = (len(source) + len(target)) // 2
-        keys = basis_keys_even(m)
-        columns = {key: _basis_column(source, target, key, field) for key in keys}
-        hit = _invert_columns(keys, columns, field)
-        _INVERSE_CACHE[cache_key] = hit
-    return hit
+    m = (len(source) + len(target)) // 2
+    keys = basis_keys_even(m)
+    columns = {key: _basis_column(source, target, key, field) for key in keys}
+    return _invert_columns(keys, columns, field)
 
 
 def _invert_columns(keys, columns, field):
@@ -374,11 +343,7 @@ def _coords_to_algebra(coeffs: dict, source: str, target: str, field) -> dict:
     out: dict = {}
     for key, c in coeffs.items():
         for akey, v in _basis_column(source, target, key, field).items():
-            s = out.get(akey, field.zero) + c * v
-            if s.is_zero:
-                out.pop(akey, None)
-            else:
-                out[akey] = s
+            _add_term(out, akey, c * v)
     return out
 
 
@@ -389,11 +354,7 @@ def _algebra_to_coords(terms: dict, source: str, target: str, field) -> dict:
     out: dict = {}
     for akey, c in terms.items():
         for key, v in inv[akey].items():
-            s = out.get(key, field.zero) + c * v
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _add_term(out, key, c * v)
     return out
 
 
@@ -451,11 +412,7 @@ class HomElement:
         self._compat(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, self.field.zero) + c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _add_term(out, key, c)
         return HomElement(self.source, self.target, out, self.field)
 
     def __sub__(self, other):

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .hecke_clifford import (
     AlgebraElement,
+    _add_term,
     basis_keys_even,
     e_element,
     identity_element,
@@ -153,9 +155,6 @@ def _t_mid_e(z: AlgebraElement, g: int):
             yield a, _TE, multiply(tp, b), cf
 
 
-_CLOSE_CACHE: dict = {}
-
-
 def close_last_strand(x: AlgebraElement) -> AlgebraElement:
     """Partial closure of strand n-1 around the right: an (n-1)-strand element."""
     if x.variant != "even":
@@ -163,17 +162,14 @@ def close_last_strand(x: AlgebraElement) -> AlgebraElement:
     n, field = x.n, x.field
     if n == 0:
         raise DomainError("no strand to close")
-    out = AlgebraElement(n - 1, "even", {}, field)
+    out: dict = {}
     for (w, emask), coeff in x.terms.items():
-        key = (field.name, n, w, emask)
-        closed = _CLOSE_CACHE.get(key)
-        if closed is None:
-            closed = _close_monomial(x.n, w, emask, field)
-            _CLOSE_CACHE[key] = closed
-        out = out + closed.scale(coeff)
-    return out
+        for key, c in _close_monomial(n, w, emask, field).terms.items():
+            _add_term(out, key, c * coeff)
+    return AlgebraElement(n - 1, "even", out, field)
 
 
+@lru_cache(maxsize=None)
 def _close_monomial(n, w, emask, field) -> AlgebraElement:
     values = closure_values(field)
     factors = {_ONE: values["loop"], _T: values["curl"], _TE: values["mixed_closure"]}
@@ -344,18 +340,11 @@ def matrix_rank(mat: list, zero) -> int:
 # Startup re-derivations of the base closure values.
 
 
-_CHECKED: set = set()
-
-
+@lru_cache(maxsize=None)
 def _startup_checks(field):
-    if field.name in _CHECKED:
-        return
-    _CHECKED.add(field.name)  # before recursing into markov machinery
-    try:
-        verify_derived_closures(field)
-    except Exception:
-        _CHECKED.discard(field.name)
-        raise
+    """Run verify_derived_closures once per field; a check that raised is
+    not cached, so the next trace runs it again."""
+    verify_derived_closures(field)
 
 
 def verify_derived_closures(field=QIQ) -> None:

@@ -171,7 +171,7 @@ def test_even_conversion_round_trip():
 def test_even_conversion_intertwines_multiplication():
     rng = random.Random(9)
     for _ in range(15):
-        n = rng.randint(2, 3)
+        n = rng.randint(2, 4)
         a, b = rand_even(n, rng, 3), rand_even(n, rng, 3)
         assert even_expand(multiply(a, b)) == multiply(even_expand(a), even_expand(b))
 

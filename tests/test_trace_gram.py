@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from skeinhc.errors import DomainError, PoleError
+from skeinhc import trace_gram
+from skeinhc.errors import ConsistencyError, DomainError, PoleError
 from skeinhc.hecke_clifford import (
     AlgebraElement,
+    basis_keys_even,
     e_element,
     identity_element,
     multiply,
@@ -136,6 +138,60 @@ def test_gram_symmetry():
         for j in range(n):
             for k in range(n):
                 assert r.entries[j][k] == r.entries[k][j]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: rotate_180 does not make the ++- Gram matrix "
+    "symmetric; entry (19, 20) is 2*i and entry (20, 19) is -2*i",
+)
+def test_gram_plus_plus_minus_symmetric():
+    from skeinhc.skein import hom_basis_element
+
+    basis = basis_keys_even(3)
+    homs = [hom_basis_element("++-", "++-", basis[k]) for k in (19, 20)]
+    rotated = [b.rotate_180() for b in homs]
+    # the entries (19, 20) and (20, 19) as gram_matrix("++-", "++-") forms them
+    assert markov_trace(homs[0].compose(rotated[1]).bend()) == markov_trace(
+        homs[1].compose(rotated[0]).bend()
+    )
+
+
+def test_memo_tables_key_fields_by_order():
+    f1, f2 = CyclotomicField(3), CyclotomicField(3)
+    assert f1 == f2 and hash(f1) == hash(f2)
+    assert f1 != CyclotomicField(4)
+    trace_gram._close_monomial.cache_clear()
+
+    def traced(fld):
+        return markov_trace(multiply(t_element(3, 0, fld), e_element(3, 1, fld)))
+
+    first = traced(f1)
+    size = trace_gram._close_monomial.cache_info().currsize
+    assert size > 0
+    assert traced(f2) == first
+    assert trace_gram._close_monomial.cache_info().currsize == size
+
+
+def test_startup_checks_retry_after_failure(monkeypatch):
+    real = trace_gram.verify_derived_closures
+    calls = []
+
+    def fail_once(field):
+        calls.append(field)
+        if len(calls) == 1:
+            raise ConsistencyError("injected failure")
+        real(field)
+
+    monkeypatch.setattr(trace_gram, "verify_derived_closures", fail_once)
+    trace_gram._startup_checks.cache_clear()
+    x = t_element(2, 0)
+    with pytest.raises(ConsistencyError):
+        markov_trace(x)
+    assert markov_trace(x) == I * D
+    assert len(calls) == 2
+    markov_trace(x)
+    assert len(calls) == 2  # a check that passed is not run again
 
 
 def test_gram_zero_space():
