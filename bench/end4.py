@@ -1,0 +1,55 @@
+"""Direct timing of the End(+^4) Gram matrix and its ranks, for a
+BENCH_*.json entry.
+
+    python3 bench/end4.py --out BENCH_x.json [--spec 2 ... 8]
+
+Run from the root of a checkout; the package is imported from ./src.  The
+entry records the assembly time of ``gram_matrix('++++', '++++')``, whether
+the matrix is symmetric, and for each N the rank at q = zeta_4N with its
+time.  It is merged into --out under the key ``end4/direct``; other keys in
+the file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path("src").resolve()))
+
+from skeinhc.trace_gram import gram_matrix, gram_rank  # noqa: E402
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--spec", type=int, nargs="+", default=list(range(2, 9)))
+    args = parser.parse_args()
+
+    start = time.perf_counter()
+    report = gram_matrix("++++", "++++")
+    entry = {"assembly_s": time.perf_counter() - start, "dimension": report.dimension}
+    n = report.dimension
+    entry["symmetric"] = all(
+        report.entries[j][k] == report.entries[k][j] for j in range(n) for k in range(j)
+    )
+    entry["ranks"] = {}
+    for N in args.spec:
+        start = time.perf_counter()
+        rank = gram_rank(report, N)
+        entry["ranks"][str(N)] = {"rank": rank, "seconds": time.perf_counter() - start}
+        print(f"N={N}: rank {rank}", file=sys.stderr)
+    entry["spec_total_s"] = sum(r["seconds"] for r in entry["ranks"].values())
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data["end4/direct"] = entry
+    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(json.dumps(entry))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

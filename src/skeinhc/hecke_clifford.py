@@ -560,17 +560,38 @@ def theta(a: AlgebraElement) -> AlgebraElement:
     """
     if a.variant != "even":
         raise DomainError("theta acts on the even variant")
-    n = a.n
-    w0 = tuple(range(n - 1, -1, -1))
     flipped: dict = {}
     for (w, emask), c in a.terms.items():
-        wp = perm_mul(w0, perm_mul(perm_inverse(w), w0))
-        ref = 0
-        for j in _bits(emask):
-            ref |= 1 << (n - 2 - j)
-        # theta(h_w e_s) = e_ref(s) h_wp, a single full-variant monomial
+        wp, ref = _theta_key(w, emask)
         _add_term(flipped, (_e_to_v(ref), wp), c)
-    return even_convert(AlgebraElement(n, "full", flipped, a.field))
+    return even_convert(AlgebraElement(a.n, "full", flipped, a.field))
+
+
+def _theta_key(w: Perm, emask: int) -> tuple:
+    """(wp, ref) with theta(h_w e_s) = e_ref h_wp, a single full-variant
+    monomial: w conjugated by the longest permutation, ladders j -> n-2-j."""
+    n = len(w)
+    w0 = tuple(range(n - 1, -1, -1))
+    ref = sum(1 << (n - 2 - j) for j in _bits(emask))
+    return perm_mul(w0, perm_mul(perm_inverse(w), w0)), ref
+
+
+def _theta_word(w: Perm, emask: int) -> tuple:
+    """theta(h_w e_s) = e_ref h_wp as letters: e over the bits of ref, then t."""
+    wp, ref = _theta_key(w, emask)
+    ladders = tuple(("e", j) for j in _bits(ref))
+    return ladders + tuple(("t", i) for i in reduced_word(wp))
+
+
+@lru_cache(maxsize=None)
+def _right_action(n: int, letter, field) -> tuple:
+    """Row i lists the (i', c) with b_i * g = sum of c b_i' over the even basis
+    b = basis_keys_even(n), for g the letter ("t", j) or ("e", j)."""
+    keys = basis_keys_even(n)
+    index = {key: i for i, key in enumerate(keys)}
+    g = (t_element if letter[0] == "t" else e_element)(n, letter[1], field)
+    prods = (multiply(AlgebraElement(n, "even", {b: field.one}, field), g) for b in keys)
+    return tuple(tuple((index[k], c) for k, c in p.terms.items()) for p in prods)
 
 
 def antisymmetrizer(N: int, field=QIQ) -> AlgebraElement:

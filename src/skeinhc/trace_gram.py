@@ -34,12 +34,13 @@ from .errors import ConsistencyError, DomainError, PoleError
 from .hecke_clifford import (
     AlgebraElement,
     _add_term,
+    _right_action,
+    _theta_word,
     basis_keys_even,
     e_element,
     identity_element,
     multiply,
     t_element,
-    theta,
 )
 from .scalars import (
     QIQ,
@@ -218,6 +219,12 @@ def categorical_trace(hom):
     return markov_trace(hom.bend())
 
 
+@lru_cache(maxsize=None)
+def _trace_vector(n, field) -> tuple:
+    """The traces of the basis monomials, in basis_keys_even(n) order."""
+    return tuple(markov_trace(_monomial(n, *key, field)) for key in basis_keys_even(n))
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices and ranks.
 
@@ -236,13 +243,18 @@ class GramReport:
         return len(self.basis)
 
 
+# Work bounds: End(+^5) is 1,920-dim; mixed signatures compose per entry.
+MAX_GRAM_STRANDS_PLUS = 4
+MAX_GRAM_STRANDS_MIXED = 3
+
+
 def gram_matrix(s1: str, s2: str) -> GramReport:
     """Pairwise traces tr(rot(b_k) o b_j) over the hom-space basis.
 
-    For endomorphism signatures +^n the basis is the algebra basis and the
-    entries reduce to traces of algebra products against rotated monomials;
-    general signatures go through honest composition in the skein layer and
-    require sorted signatures there.
+    For +^n the basis is the algebra basis and entry (j, k) is
+    tau(b_j theta(b_k)), from the trace vector and right-action tables;
+    general signatures compose in the skein layer (sorted targets only).
+    Beyond the MAX_GRAM_STRANDS_* bounds this raises DomainError.
     """
     charge = lambda s: s.count("+") - s.count("-")
     if charge(s1) != charge(s2):
@@ -250,15 +262,30 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
             raise ConsistencyError("charge mismatch with nonzero dimension")
         return GramReport(s1, s2, [], [])
     m = (len(s1) + len(s2)) // 2
+    plus = s1 == s2 == "+" * m
+    limit = MAX_GRAM_STRANDS_PLUS if plus else MAX_GRAM_STRANDS_MIXED
+    if m > limit:
+        kind = "all-plus" if plus else "mixed"
+        raise DomainError(f"gram needs {m} strands, over the {kind} limit {limit}")
     basis = basis_keys_even(m)
     if len(basis) != dim_hom_formula(s1, s2):
         raise ConsistencyError("basis enumeration disagrees with dimension formula")
-    if s1 == s2 == "+" * m:
-        elems = [_monomial(m, w, emask, QIQ) for (w, emask) in basis]
-        rotated = [theta(b) for b in elems]
-        entries = [
-            [markov_trace(multiply(bj, rk)) for rk in rotated] for bj in elems
-        ]
+    if plus:
+        # column k is x -> tau(x theta(b_k)): the trace vector pulled back
+        # through the right action of theta(b_k)'s letters, right to left
+        columns = {(): _trace_vector(m, QIQ)}
+
+        def column(word):
+            if word not in columns:
+                rest = column(word[1:])
+                columns[word] = [
+                    sum((c * rest[i] for i, c in row if rest[i]), QIQ.zero)
+                    for row in _right_action(m, word[0], QIQ)
+                ]
+            return columns[word]
+
+        cols = [column(_theta_word(w, emask)) for (w, emask) in basis]
+        entries = [[col[j] for col in cols] for j in range(len(basis))]
         return GramReport(s1, s2, basis, entries)
     from .skein import hom_basis_element  # deferred: skein imports this module
 

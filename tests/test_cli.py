@@ -1,6 +1,7 @@
 """Command-line surface: outputs, schemas, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -131,3 +132,18 @@ def test_zero_strands_unchanged(capsys):
         "terms": [{"coeff": "1", "s": "", "w": []}],
         "variant": "even",
     }
+
+
+@pytest.mark.parametrize(
+    "sig, message",
+    [
+        ("+++++", "gram needs 5 strands, over the all-plus limit 4"),
+        ("+++-", "gram needs 4 strands, over the mixed limit 3"),
+    ],
+)
+def test_gram_work_bound(capsys, sig, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gram", "--source", sig, "--target", sig)
+    assert time.perf_counter() - start < 5  # refused before any basis is built
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -8,6 +8,7 @@ from skeinhc import trace_gram
 from skeinhc.errors import ConsistencyError, DomainError, PoleError
 from skeinhc.hecke_clifford import (
     AlgebraElement,
+    _right_action,
     basis_keys_even,
     e_element,
     identity_element,
@@ -155,6 +156,50 @@ def test_gram_plus_plus_minus_symmetric():
     assert markov_trace(homs[0].compose(rotated[1]).bend()) == markov_trace(
         homs[1].compose(rotated[0]).bend()
     )
+
+
+def _entry_by_product(m, j, k):
+    """The per-entry oracle: trace of b_j times the rotated b_k."""
+    basis = basis_keys_even(m)
+    bj, bk = (AlgebraElement(m, "even", {basis[i]: ONE}, QIQ) for i in (j, k))
+    return markov_trace(multiply(bj, theta(bk)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gram_matrix_matches_per_entry_products(m):
+    r = gram_matrix("+" * m, "+" * m)
+    assert r.basis == basis_keys_even(m)
+    for j in range(r.dimension):
+        for k in range(r.dimension):
+            assert r.entries[j][k] == _entry_by_product(m, j, k)
+
+
+@pytest.fixture(scope="module")
+def gram_end4():
+    return gram_matrix("++++", "++++")
+
+
+def test_gram_end4_symmetric(gram_end4):
+    n = gram_end4.dimension
+    assert n == 192
+    for j in range(n):
+        for k in range(j):
+            assert gram_end4.entries[j][k] == gram_end4.entries[k][j]
+
+
+def test_gram_end4_matches_per_entry_products(gram_end4):
+    rng = random.Random(41)
+    for _ in range(30):
+        j, k = rng.randrange(192), rng.randrange(192)
+        assert gram_end4.entries[j][k] == _entry_by_product(4, j, k)
+
+
+def test_gram_matrix_reuses_action_tables():
+    gram_matrix("+++", "+++")
+    size = _right_action.cache_info().currsize
+    assert size > 0
+    gram_matrix("+++", "+++")
+    assert _right_action.cache_info().currsize == size
 
 
 def test_memo_tables_key_fields_by_order():
