@@ -174,30 +174,29 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_trace(args) -> int:
     letters = parse_generator_word(args.word, args.n)
+    point = None if args.spec is None else SpecializationPoint(args.spec)
     elem = normalize(letters, args.n)
     if elem.variant != "even":
         raise DomainError("trace expects an even word (t and e letters)")
     value = markov_trace(elem)
     if args.format == "text":
         print(str(value))
-        if args.spec is not None:
-            print(str(specialize(value, SpecializationPoint(args.spec))))
+        if point is not None:
+            print(str(specialize(value, point)))
         return 0
     report = {"n": args.n, "word": args.word, "trace": str(value)}
-    if args.spec is not None:
-        report["spec"] = {
-            "N": args.spec,
-            "value": str(specialize(value, SpecializationPoint(args.spec))),
-        }
+    if point is not None:
+        report["spec"] = {"N": args.spec, "value": str(specialize(value, point))}
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
 def _cmd_gram(args) -> int:
+    points = [SpecializationPoint(N) for N in args.spec]  # bad --spec fails fast
     report = gram_matrix(args.source, args.target)
     ranks = {}
-    for N in args.spec:
-        ranks[str(N)] = gram_rank(report, N)
+    for point in points:
+        ranks[str(point.N)] = gram_rank(report, point)
     payload = {
         "source": report.source,
         "target": report.target,

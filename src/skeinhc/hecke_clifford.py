@@ -325,12 +325,12 @@ def _add_term(out: dict, key, c):
         out[key] = s
 
 
-def _hecke_lmul(j: int, w: Perm, c, z, out: dict, vmask: int):
-    """t_j * h_w into out (full-variant keys with fixed vmask)."""
+def _hecke_lmul(j: int, w: Perm, c, z, out: dict, key):
+    """t_j * c h_w into out, each h_u stored under key(u)."""
     wp = tuple(j + 1 if x == j else j if x == j + 1 else x for x in w)
-    _add_term(out, (vmask, wp), c)
+    _add_term(out, key(wp), c)
     if w.index(j) > w.index(j + 1):  # descent: extra (q - q^(-1)) h_w term
-        _add_term(out, (vmask, w), c * z)
+        _add_term(out, key(w), c * z)
 
 
 def _lmul_t(j: int, terms: dict, z, inverse: bool = False) -> dict:
@@ -342,7 +342,7 @@ def _lmul_t(j: int, terms: dict, z, inverse: bool = False) -> dict:
         def rec(k: int, emitted: tuple, c):
             if k == len(vlist):
                 sign, mask = _clifford_normalize(emitted)
-                _hecke_lmul(j, w, c if sign > 0 else -c, z, out, mask)
+                _hecke_lmul(j, w, c if sign > 0 else -c, z, out, lambda u: (mask, u))
                 return
             l = vlist[k]
             if l == j:
@@ -373,25 +373,6 @@ def _lmul_v(l: int, terms: dict) -> dict:
     return out
 
 
-def _rmul_t(terms: dict, j: int, z, inverse: bool = False) -> dict:
-    """Right-multiply a full-variant term dict by t_j (the Clifford part is
-    untouched; pure Hecke right multiplication)."""
-    out: dict = {}
-    for (vmask, w), coeff in terms.items():
-        wp = list(w)
-        wp[j], wp[j + 1] = wp[j + 1], wp[j]
-        wp = tuple(wp)
-        if w[j] < w[j + 1]:  # ascent
-            _add_term(out, (vmask, wp), coeff)
-            if inverse:
-                _add_term(out, (vmask, w), -coeff * z)
-        else:
-            _add_term(out, (vmask, wp), coeff)
-            if not inverse:
-                _add_term(out, (vmask, w), coeff * z)
-    return out
-
-
 def _clifford_sign(s: int, t: int) -> int:
     """The sign in c_s c_t = +-c_(s xor t): one factor -1 for each pair of
     v_a in c_s and v_b in c_t with a > b."""
@@ -407,19 +388,6 @@ def _expand(w: Perm, vmask: int, field) -> dict:
     for i in reversed(reduced_word(w)):
         cur = _lmul_t(i, cur, field.z)
     return cur
-
-
-def _rmul_e(terms: dict, j: int, field) -> dict:
-    """Right-multiply a full-variant term dict by e_j = v_j v_{j+1}: each
-    c_s h_w becomes c_s (h_w e_j), read off the cached expansion of h_w e_j."""
-    out: dict = {}
-    for (vmask, w), coeff in terms.items():
-        for (smask, u), c in _expand(w, 3 << j, field).items():
-            c = coeff * c
-            if _clifford_sign(vmask, smask) < 0:
-                c = -c
-            _add_term(out, (vmask ^ smask, u), c)
-    return out
 
 
 def _lmul_letter(letter, terms: dict, field) -> dict:
@@ -470,6 +438,71 @@ def _validate_letter(letter, n: int):
 
 
 # ---------------------------------------------------------------------------
+# Actions of the generators on even-variant term dictionaries (keys (w, s)).
+
+
+def _ladder_past_t(k: int, j: int, field) -> tuple:
+    """e_k t_j as terms (b, r, c) meaning c t_j^b e_r (z = q - q^(-1))."""
+    one, z = field.one, field.z
+    if k == j:  # e_j t_j = -t_j e_j + z e_j + z
+        return ((1, 1 << j, -one), (0, 1 << j, z), (0, 0, z))
+    if k == j + 1:  # e_(j+1) t_j = t_j e_j e_(j+1)
+        return ((1, 3 << j, one),)
+    if k == j - 1:  # e_(j-1) t_j = t_j e_(j-1) e_j + z e_(j-1) - z e_(j-1) e_j
+        return ((1, 3 << k, one), (0, 1 << k, z), (0, 3 << k, -z))
+    return ((1, 1 << k, one),)
+
+
+@lru_cache(maxsize=None)
+def _right_action(w: Perm, s: int, letter, field) -> tuple:
+    """The (key, c) with h_w e_s * g = sum of c h_u e_r, for g the letter
+    ("t", j), ("t", j, -1) or ("e", j).  g moves left past the ladders of e_s,
+    highest first (e_m e_r = +-e_(m xor r)); a t_j left over then acts on h_w.
+    """
+    j = letter[1]
+    moved = {(0, 1 << j) if letter[0] == "e" else (1, 0): field.one}  # c t_j^b e_r
+    for k in reversed(_bits(s)):
+        step: dict = {}
+        for (b, r), c in moved.items():
+            past = _ladder_past_t(k, j, field) if b else ((0, 1 << k, field.one),)
+            for b2, m, f in past:
+                sign = _clifford_sign(_e_to_v(m), _e_to_v(r))
+                _add_term(step, (b2, m ^ r), c * f if sign > 0 else -(c * f))
+        moved = step
+    ws = w[:j] + (w[j + 1], w[j]) + w[j + 2 :]
+    out: dict = {}
+    for (b, r), c in moved.items():
+        _add_term(out, (ws if b else w, r), c)
+        if b and w[j] > w[j + 1]:  # descent: h_w t_j = h_(w s_j) + z h_w
+            _add_term(out, (w, r), c * field.z)
+    if letter[2:] == (-1,):  # t_j^(-1) = t_j - z
+        _add_term(out, (w, s), -field.z)
+    return tuple(out.items())
+
+
+def _rmul_word(terms: dict, word, field) -> dict:
+    """Right-multiply an even-variant term dict by the letters of word."""
+    for letter in word:
+        out: dict = {}
+        for (w, s), coeff in terms.items():
+            for key, c in _right_action(w, s, letter, field):
+                _add_term(out, key, coeff * c)
+        terms = out
+    return terms
+
+
+def _lmul_even(j: int, terms: dict, z, inverse: bool = False) -> dict:
+    """Left-multiply an even-variant term dict by t_j (or t_j^(-1) = t_j - z):
+    t_j h_w e_s = (t_j h_w) e_s."""
+    out: dict = {}
+    for (w, s), c in terms.items():
+        _hecke_lmul(j, w, c, z, out, lambda u: (u, s))
+        if inverse:
+            _add_term(out, (w, s), -c * z)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Products and basis conversions.
 
 
@@ -477,18 +510,13 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.n != b.n or a.variant != b.variant:
         raise DomainError("mismatched strand counts or variants")
     if a.variant == "even":
-        full = even_expand(a).terms
-        z = a.field.z
         out: dict = {}
         for (w, emask), cb in b.terms.items():
-            cur = {key: c * cb for key, c in full.items()}
-            for i in reduced_word(w):
-                cur = _rmul_t(cur, i, z)
-            for j in _bits(emask):
-                cur = _rmul_e(cur, j, a.field)
-            for key, c in cur.items():
-                _add_term(out, key, c)
-        return even_convert(AlgebraElement(a.n, "full", out, a.field))
+            word = [("t", i) for i in reduced_word(w)]
+            word += [("e", j) for j in _bits(emask)]
+            for key, c in _rmul_word(a.terms, word, a.field).items():
+                _add_term(out, key, c * cb)
+        return AlgebraElement(a.n, "even", out, a.field)
     out: dict = {}
     for (vmask, w), ca in a.terms.items():
         cur = {key: c * ca for key, c in b.terms.items()}
@@ -560,38 +588,22 @@ def theta(a: AlgebraElement) -> AlgebraElement:
     """
     if a.variant != "even":
         raise DomainError("theta acts on the even variant")
-    flipped: dict = {}
+    out: dict = {}
     for (w, emask), c in a.terms.items():
-        wp, ref = _theta_key(w, emask)
-        _add_term(flipped, (_e_to_v(ref), wp), c)
-    return even_convert(AlgebraElement(a.n, "full", flipped, a.field))
-
-
-def _theta_key(w: Perm, emask: int) -> tuple:
-    """(wp, ref) with theta(h_w e_s) = e_ref h_wp, a single full-variant
-    monomial: w conjugated by the longest permutation, ladders j -> n-2-j."""
-    n = len(w)
-    w0 = tuple(range(n - 1, -1, -1))
-    ref = sum(1 << (n - 2 - j) for j in _bits(emask))
-    return perm_mul(w0, perm_mul(perm_inverse(w), w0)), ref
+        unit = {(perm_identity(a.n), 0): c}
+        for key, cc in _rmul_word(unit, _theta_word(w, emask), a.field).items():
+            _add_term(out, key, cc)
+    return AlgebraElement(a.n, "even", out, a.field)
 
 
 def _theta_word(w: Perm, emask: int) -> tuple:
-    """theta(h_w e_s) = e_ref h_wp as letters: e over the bits of ref, then t."""
-    wp, ref = _theta_key(w, emask)
-    ladders = tuple(("e", j) for j in _bits(ref))
+    """theta(h_w e_s) = e_ref h_wp as letters, e over the bits of ref, then t:
+    wp is w conjugated by the longest permutation, and ladders go j -> n-2-j."""
+    n = len(w)
+    w0 = tuple(range(n - 1, -1, -1))
+    wp = perm_mul(w0, perm_mul(perm_inverse(w), w0))
+    ladders = tuple(("e", n - 2 - j) for j in reversed(_bits(emask)))
     return ladders + tuple(("t", i) for i in reduced_word(wp))
-
-
-@lru_cache(maxsize=None)
-def _right_action(n: int, letter, field) -> tuple:
-    """Row i lists the (i', c) with b_i * g = sum of c b_i' over the even basis
-    b = basis_keys_even(n), for g the letter ("t", j) or ("e", j)."""
-    keys = basis_keys_even(n)
-    index = {key: i for i, key in enumerate(keys)}
-    g = (t_element if letter[0] == "t" else e_element)(n, letter[1], field)
-    prods = (multiply(AlgebraElement(n, "even", {b: field.one}, field), g) for b in keys)
-    return tuple(tuple((index[k], c) for k, c in p.terms.items()) for p in prods)
 
 
 def antisymmetrizer(N: int, field=QIQ) -> AlgebraElement:

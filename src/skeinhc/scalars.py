@@ -666,10 +666,11 @@ class SpecializationPoint:
     """The evaluation q -> exp(2*pi*i/(4N)), a primitive 4N-th root with q^N = i."""
 
     N: int
+    MAX_N = 100  # the field keeps all 4N reduced powers of zeta; goldens use N <= 8
 
     def __post_init__(self):
-        if self.N < 2:
-            raise DomainError("specialization points require N >= 2")
+        if not 2 <= self.N <= self.MAX_N:
+            raise DomainError(f"specialization points require 2 <= N <= {self.MAX_N}")
 
     @property
     def order(self) -> int:

@@ -26,13 +26,10 @@ from .errors import DomainError
 from .hecke_clifford import (
     AlgebraElement,
     _add_term,
-    _lmul_t,
-    _rmul_e,
-    _rmul_t,
+    _lmul_even,
+    _rmul_word,
     basis_keys_even,
-    even_convert,
-    even_expand,
-    perm_identity,
+    identity_element,
     term_list,
     theta,
 )
@@ -99,8 +96,8 @@ def _charge(sig: str) -> int:
 
 
 class _State:
-    """sig: the running boundary; terms: the bent coordinates as a
-    full-variant term dict over m = (#inputs) strands; p1: number of '+'
+    """sig: the running boundary; terms: the bent coordinates as an
+    even-variant term dict over m = (#inputs) strands; p1: number of '+'
     in the original source.
 
     The strand bookkeeping is positional: the k-th '+' of sig is the k-th
@@ -116,15 +113,15 @@ class _State:
         self.p1 = source.count("+")
         self.field = field
         self.m = len(source)
-        self.terms = {(0, perm_identity(self.m)): field.one}
+        self.terms = identity_element(self.m, "even", field).terms
 
     @property
     def x(self) -> AlgebraElement:
-        return even_convert(AlgebraElement(self.m, "full", self.terms, self.field))
+        return AlgebraElement(self.m, "even", self.terms, self.field)
 
     def set_even(self, x: AlgebraElement):
         self.m = x.n
-        self.terms = even_expand(x).terms
+        self.terms = x.terms
 
     def rank(self, pos: int) -> int:
         return sum(1 for c in self.sig[:pos] if c == "+")
@@ -155,14 +152,11 @@ class _State:
         m_old = self.m
         r = self.rank(i)
         u_new = self.p1 + sum(1 for c in self.sig[i:] if c == "-")
-        z = self.field.z
-        terms = {
-            (vmask, w + (m_old,)): c for (vmask, w), c in self.terms.items()
-        }
+        terms = {(w + (m_old,), s): c for (w, s), c in self.terms.items()}
         for k in range(m_old - 1, u_new - 1, -1):  # chain re-laning, below
-            terms = _lmul_t(k, terms, z, inverse=True)
-        for k in range(m_old - 1, r - 1, -1):  # the sweep, above
-            terms = _rmul_t(terms, k, z, inverse=True)
+            terms = _lmul_even(k, terms, self.field.z, inverse=True)
+        sweep = [("t", k, -1) for k in range(m_old - 1, r - 1, -1)]  # above
+        terms = _rmul_word(terms, sweep, self.field)
         self.m = m_old + 1
         self.terms = terms
         if pair == "-+":
@@ -188,15 +182,11 @@ class _State:
         around the right-hand side, then close the freed strand."""
         u = self.minus_src(minus_pos)
         r = self.rank(plus_pos)
-        z = self.field.z
-        terms = self.terms
-        for k in range(r, self.m - 1):  # walk the output to the last slot
-            terms = _rmul_t(terms, k, z)
+        walk = [("t", k) for k in range(r, self.m - 1)]  # the output to the last slot
+        terms = _rmul_word(self.terms, walk, self.field)
         for k in range(u, self.m - 1):  # walk the input below
-            terms = _lmul_t(k, terms, z)
-        closed = close_last_strand(
-            even_convert(AlgebraElement(self.m, "full", terms, self.field))
-        )
+            terms = _lmul_even(k, terms, self.field.z)
+        closed = close_last_strand(AlgebraElement(self.m, "even", terms, self.field))
         if minus_pos < plus_pos:
             closed = closed.scale(self.field.i)
         self.set_even(closed)
@@ -205,10 +195,11 @@ class _State:
 
     # virtual letters for hom-space words (rank-addressed, signature-agnostic)
     def vcross(self, r: int, positive: bool = True):
-        self.terms = _rmul_t(self.terms, r, self.field.z, inverse=not positive)
+        letter = ("t", r) if positive else ("t", r, -1)
+        self.terms = _rmul_word(self.terms, [letter], self.field)
 
     def vladder(self, r: int):
-        self.terms = _rmul_e(self.terms, r, self.field)
+        self.terms = _rmul_word(self.terms, [("e", r)], self.field)
 
     def apply(self, letter):
         if isinstance(letter, Crossing):
@@ -528,11 +519,7 @@ def _sorted_sig(sig: str) -> str:
 def identity_hom(sig: str, field=QIQ) -> HomElement:
     """The identity morphism; its bent coordinates are the algebra unit."""
     _check_signature(sig)
-    m = len(sig)
-    unit = AlgebraElement(
-        m, "even", {(perm_identity(m), 0): field.one}, field
-    )
-    return HomElement.unbend(unit, sig, sig)
+    return HomElement.unbend(identity_element(len(sig), "even", field), sig, sig)
 
 
 def hom_basis_element(source: str, target: str, key, field=QIQ) -> HomElement:

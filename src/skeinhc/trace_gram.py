@@ -273,19 +273,20 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
     if plus:
         # column k is x -> tau(x theta(b_k)): the trace vector pulled back
         # through the right action of theta(b_k)'s letters, right to left
-        columns = {(): _trace_vector(m, QIQ)}
+        columns = {(): dict(zip(basis, _trace_vector(m, QIQ)))}
 
         def column(word):
             if word not in columns:
                 rest = column(word[1:])
-                columns[word] = [
-                    sum((c * rest[i] for i, c in row if rest[i]), QIQ.zero)
-                    for row in _right_action(m, word[0], QIQ)
-                ]
+                columns[word] = {
+                    b: sum((c * rest[k] for k, c in _right_action(*b, word[0], QIQ)
+                            if rest[k]), QIQ.zero)
+                    for b in basis
+                }
             return columns[word]
 
         cols = [column(_theta_word(w, emask)) for (w, emask) in basis]
-        entries = [[col[j] for col in cols] for j in range(len(basis))]
+        entries = [[col[b] for col in cols] for b in basis]
         return GramReport(s1, s2, basis, entries)
     from .skein import hom_basis_element  # deferred: skein imports this module
 

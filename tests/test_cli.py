@@ -147,3 +147,21 @@ def test_gram_work_bound(capsys, sig, message):
     assert time.perf_counter() - start < 5  # refused before any basis is built
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--n", "3", "--word", "t1 e2 t2'", "--spec", "101"),
+        ("trace", "--n", "3", "--word", "t1 e2 t2'", "--spec", "101",
+         "--format", "text"),
+        ("gram", "--source", "+++", "--target", "+++", "--spec", "101"),
+        ("gram", "--source", "++++", "--target", "++++", "--spec", "1"),
+    ],
+)
+def test_bad_spec_fails_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: specialization points require 2 <= N <= 100")

@@ -7,8 +7,11 @@ import pytest
 from skeinhc.errors import DomainError, ParityError
 from skeinhc.hecke_clifford import (
     AlgebraElement,
+    _lmul_even,
+    _rmul_word,
     alpha,
     antisymmetrizer,
+    basis_keys_even,
     closure_dimension,
     e_element,
     even_convert,
@@ -170,10 +173,37 @@ def test_even_conversion_round_trip():
 
 def test_even_conversion_intertwines_multiplication():
     rng = random.Random(9)
-    for _ in range(15):
-        n = rng.randint(2, 4)
+    for _ in range(40):
+        n = rng.randint(2, 5)
         a, b = rand_even(n, rng, 3), rand_even(n, rng, 3)
         assert even_expand(multiply(a, b)) == multiply(even_expand(a), even_expand(b))
+
+
+def _full_basis_product(x, y):
+    return even_convert(multiply(even_expand(x), even_expand(y)))
+
+
+def _even_monomials():
+    for n in (2, 3, 4):
+        for key in basis_keys_even(n):
+            yield n, key
+    for key in random.Random(5).sample(basis_keys_even(5), 24):
+        yield 5, key
+
+
+def test_even_action_matches_full_basis_products():
+    # every generator on every even monomial for n <= 4, a sample at n = 5:
+    # the relation-derived action against the product in the c_s h_w basis
+    for n, key in _even_monomials():
+        b = AlgebraElement(n, "even", {key: ONE})
+        for j in range(n - 1):
+            t, tinv, e = t_element(n, j), t_element(n, j, inverse=True), e_element(n, j)
+            for letter, g in ((("t", j), t), (("t", j, -1), tinv), (("e", j), e)):
+                right = AlgebraElement(n, "even", _rmul_word(b.terms, [letter], QIQ))
+                assert right == _full_basis_product(b, g), (key, letter)
+            for inverse, g in ((False, t), (True, tinv)):
+                left = AlgebraElement(n, "even", _lmul_even(j, b.terms, Z, inverse))
+                assert left == _full_basis_product(g, b), (key, j, inverse)
 
 
 def test_parity_error_on_odd_conversion():

@@ -1,6 +1,8 @@
 """Markov trace, Gram matrices, and exact ranks."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,14 @@ def test_gram_plus_plus_minus_symmetric():
     assert markov_trace(homs[0].compose(rotated[1]).bend()) == markov_trace(
         homs[1].compose(rotated[0]).bend()
     )
+
+
+def test_gram_plus_plus_minus_matches_benchmark_golden():
+    # every entry of the skein-mixed golden; the benchmark itself samples 48
+    path = Path(__file__).parents[1] / "perfbench" / "goldens" / "skein_mixed.json"
+    golden = json.loads(path.read_text())
+    report = gram_matrix(golden["source"], golden["target"])
+    assert [[str(c) for c in row] for row in report.entries] == golden["entries"]
 
 
 def _entry_by_product(m, j, k):
