@@ -6,9 +6,10 @@ BENCH_*.json entry.
 Run from the root of a checkout; the package is imported from ./src.  The
 entry records the assembly time of ``gram_matrix('++++', '++++')``, whether
 the matrix is symmetric, and for each N the rank at q = zeta_4N with its
-time.  It also times building every right-action row of End(+^5) (each
-basis monomial times each t_j and e_j) and assembling the full
-``gram_matrix('++-', '++-')``.  It is merged into --out under the key
+time, and the certified generic rank with its time.  It also times the
+trace vector of End(+^5) from cold caches, building every right-action row
+of End(+^5) (each basis monomial times each t_j and e_j) and assembling the
+full ``gram_matrix('++-', '++-')``.  It is merged into --out under the key
 ``end4/direct``; other keys in the file are kept.
 """
 
@@ -24,7 +25,12 @@ sys.path.insert(0, str(Path("src").resolve()))
 
 from skeinhc.hecke_clifford import _right_action, basis_keys_even  # noqa: E402
 from skeinhc.scalars import QIQ  # noqa: E402
-from skeinhc.trace_gram import gram_matrix, gram_rank  # noqa: E402
+from skeinhc.trace_gram import (  # noqa: E402
+    _close_monomial,
+    _trace_vector,
+    gram_matrix,
+    gram_rank,
+)
 
 
 def main() -> int:
@@ -47,6 +53,9 @@ def main() -> int:
         entry["ranks"][str(N)] = {"rank": rank, "seconds": time.perf_counter() - start}
         print(f"N={N}: rank {rank}", file=sys.stderr)
     entry["spec_total_s"] = sum(r["seconds"] for r in entry["ranks"].values())
+    start = time.perf_counter()
+    entry["generic_rank"] = gram_rank(report, "generic")
+    entry["generic_rank_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
     letters = [(kind, j) for j in range(4) for kind in ("t", "e")]
@@ -56,6 +65,11 @@ def main() -> int:
     start = time.perf_counter()
     gram_matrix("++-", "++-")
     entry["gram_mixed3_s"] = time.perf_counter() - start
+    for table in (_close_monomial, _right_action, _trace_vector):
+        table.cache_clear()
+    start = time.perf_counter()
+    _trace_vector(5, QIQ)
+    entry["end5_trace_vector_cold_s"] = time.perf_counter() - start
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["end4/direct"] = entry

@@ -9,24 +9,26 @@ touching that strand:
     e            -> 0                                 (closed ladder leg)
     t then e     -> i                                 (mixed closure)
 
-Basis monomials are reduced to two-sided form x * L * y with x, y in the
-subalgebra not touching the last strand and L one of the letters above; the
-rewriting uses the identities
+With g = n-2, a basis monomial h_w e_s whose w moves the last strand
+factors as h_w = h_u t_g h_c: u fixes the last strand and c is the
+descending chain s_(g-1) ... s_k.  Without e_g in e_s it closes to
+i * h_u h_c e_s.  With e_s = e_s' e_g, conjugation psi(x) = e_g^(-1) x e_g
+gives t_g y e_g = (t_g e_g) psi(y), where psi(t_(g-1)) = t_(g-1) e_(g-1),
+psi(e_(g-1)) = -e_(g-1) and psi fixes the lower generators; so it closes to
+i * h_u psi(h_c e_s').  Either way the closure is one fold of the even
+right action from h_u (test_psi_conjugation_identities checks psi).
 
-    t_g t_{g-1} e_g           = (t_g e_g) (t_{g-1} e_{g-1})
-    t_g e_{g-1} e_g           = -(t_g e_g) e_{g-1}
-    t_g t_{g-1} e_{g-1} e_g   = (t_g e_g) t_{g-1}
-
-all consequences of the defining relations (verified in the test suite).
 The full trace iterates the closure down to zero strands; it is cyclic and
 multiplicative under disjoint union, and a Gram matrix is the table of
 traces of products against 180-degree-rotated basis elements.  Ranks at the
-points q = exp(2*pi*i/4N) are computed by exact elimination over Q(zeta_4N).
+points q = exp(2*pi*i/4N) are computed by exact elimination over Q(zeta_4N);
+the generic rank is certified at one rational q when full, else eliminated
+over Q(i)(q).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,18 +36,20 @@ from .errors import ConsistencyError, DomainError, PoleError
 from .hecke_clifford import (
     AlgebraElement,
     _add_term,
+    _bits,
     _right_action,
+    _rmul_word,
     _theta_word,
     basis_keys_even,
     e_element,
     identity_element,
     multiply,
+    reduced_word,
     t_element,
 )
 from .scalars import (
     QIQ,
     CyclotomicField,
-    GaussianRational,
     SpecializationPoint,
     specialize,
 )
@@ -63,12 +67,6 @@ __all__ = [
     "matrix_rank",
     "verify_derived_closures",
 ]
-
-
-_ONE = "1"
-_T = "t"
-_E = "e"
-_TE = "te"
 
 
 def closure_values(field=QIQ) -> dict:
@@ -93,69 +91,6 @@ def _monomial(n, w, emask, field) -> AlgebraElement:
     return AlgebraElement(n, "even", {(w, emask): field.one}, field)
 
 
-def _two_sided(x: AlgebraElement, g: int):
-    """Decompose an even element with generator indices <= g with respect to
-    t_g / e_g: yields (a, label, b, coeff) with a * L * b the contribution,
-    a and b having generator indices <= g-1.
-    """
-    n, field = x.n, x.field
-    top_strand = g + 1
-    for (w, emask), coeff in x.terms.items():
-        has_e = bool(emask >> g & 1) if g >= 0 else False
-        if g < 0 or w[top_strand] == top_strand:
-            if not has_e:
-                yield _monomial(n, w, emask, field), _ONE, _unit(n, field), coeff
-            else:
-                yield (
-                    _monomial(n, w, emask ^ (1 << g), field),
-                    _E,
-                    _unit(n, field),
-                    coeff,
-                )
-            continue
-        k = w.index(top_strand)
-        u = list(w)
-        del u[k]
-        u.insert(top_strand, top_strand)
-        u = tuple(u)
-        cp = list(range(n))  # the descending chain s_{g-1} ... s_k
-        for j in range(k + 1, g + 1):
-            cp[j] = j - 1
-        cp[k] = g
-        cp = tuple(cp)
-        if not has_e:
-            yield (
-                _monomial(n, u, 0, field),
-                _T,
-                _monomial(n, cp, emask, field),
-                coeff,
-            )
-        else:
-            mid = _monomial(n, cp, emask ^ (1 << g), field)
-            hu = _monomial(n, u, 0, field)
-            for a, label, b, cf in _t_mid_e(mid, g):
-                if label != _TE:
-                    raise ConsistencyError("sandwich reduction must yield te")
-                yield multiply(hu, a), _TE, b, coeff * cf
-
-
-def _t_mid_e(z: AlgebraElement, g: int):
-    """Rewrite t_g * z * e_g (z with generator indices <= g-1) as a sum of
-    a * (t_g e_g) * b with a, b of generator indices <= g-1."""
-    n, field = z.n, z.field
-    tp = t_element(n, g - 1, field) if g >= 1 else None
-    ep = e_element(n, g - 1, field) if g >= 1 else None
-    for a, label, b, cf in _two_sided(z, g - 1):
-        if label == _ONE:
-            yield multiply(a, b), _TE, _unit(n, field), cf
-        elif label == _T:
-            yield a, _TE, multiply(multiply(tp, ep), b), cf
-        elif label == _E:
-            yield a, _TE, multiply(ep, b), -cf
-        else:  # _TE
-            yield a, _TE, multiply(tp, b), cf
-
-
 def close_last_strand(x: AlgebraElement) -> AlgebraElement:
     """Partial closure of strand n-1 around the right: an (n-1)-strand element."""
     if x.variant != "even":
@@ -172,14 +107,29 @@ def close_last_strand(x: AlgebraElement) -> AlgebraElement:
 
 @lru_cache(maxsize=None)
 def _close_monomial(n, w, emask, field) -> AlgebraElement:
+    """Close the last strand of h_w e_s: one fold of the even right action
+    from h_u (see the module docstring), then drop the freed strand."""
     values = closure_values(field)
-    factors = {_ONE: values["loop"], _T: values["curl"], _TE: values["mixed_closure"]}
-    acc = AlgebraElement(n, "even", {}, field)
-    for a, label, b, cf in _two_sided(_monomial(n, w, emask, field), n - 2):
-        if label == _E:
-            continue
-        acc = acc + multiply(a, b).scale(cf * factors[label])
-    return _truncate(acc)
+    g = n - 2
+    top = g >= 0 and emask >> g & 1
+    if g < 0 or w[n - 1] == n - 1:  # the last strand is free
+        terms = {} if top else {(w, emask): values["loop"]}  # a ladder leg closes to 0
+        return _truncate(AlgebraElement(n, "even", terms, field))
+    k = w.index(n - 1)
+    u = w[:k] + w[k + 1 :] + (n - 1,)
+    chain = tuple(range(k)) + (g,) + tuple(range(k, g)) + (n - 1,)
+    word = []
+    for i in reduced_word(chain):
+        word.append(("t", i))
+        if top and i == g - 1:  # psi(t_(g-1)) = t_(g-1) e_(g-1)
+            word.append(("e", i))
+    rest = emask ^ (1 << g) if top else emask
+    word += [("e", j) for j in _bits(rest)]
+    coeff = values["mixed_closure"] if top else values["curl"]
+    if top and g and rest >> (g - 1) & 1:  # psi(e_(g-1)) = -e_(g-1)
+        coeff = -coeff
+    terms = _rmul_word({(u, 0): coeff}, word, field)
+    return _truncate(AlgebraElement(n, "even", terms, field))
 
 
 def _truncate(x: AlgebraElement) -> AlgebraElement:
@@ -235,8 +185,6 @@ class GramReport:
     target: str
     basis: list
     entries: list  # square matrix of ScalarQ
-    ranks: dict = dc_field(default_factory=dict)  # N -> rank
-    generic_rank: int | None = None
 
     @property
     def dimension(self) -> int:
@@ -299,22 +247,20 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
 
 
 def gram_rank(report: GramReport, point) -> int:
-    """Exact rank of the Gram matrix at a specialization point, or the
-    generic rank ('generic': three exact rational sample values of q, which
-    must agree)."""
+    """Exact rank of the Gram matrix at a specialization point, or over
+    Q(i)(q) ('generic').  The rank at one rational value of q is a lower
+    bound on the generic rank, so full rank there certifies it; otherwise
+    (or at a pole) the matrix is eliminated over Q(i)(q)."""
     if not report.basis:
         return 0
     if point == "generic":
-        samples = [Fraction(5, 7), Fraction(9, 4), Fraction(-7, 3)]
-        ranks = set()
-        for s in samples:
-            mat = [[c.eval_at(s) for c in row] for row in report.entries]
-            ranks.add(matrix_rank(mat, GaussianRational(0)))
-        if len(ranks) != 1:
-            raise ConsistencyError(f"generic rank samples disagree: {sorted(ranks)}")
-        rank = ranks.pop()
-        report.generic_rank = rank
-        return rank
+        try:
+            mat = [[c.eval_at(Fraction(5, 7)) for c in row] for row in report.entries]
+            if matrix_rank(mat) == report.dimension:
+                return report.dimension
+        except PoleError:
+            pass
+        return matrix_rank(report.entries)
     if isinstance(point, int):
         point = SpecializationPoint(point)
     inverses = {}  # each distinct denominator is inverted once
@@ -322,12 +268,10 @@ def gram_rank(report: GramReport, point) -> int:
         mat = [[specialize(c, point, inverses) for c in row] for row in report.entries]
     except PoleError as exc:
         raise PoleError(f"Gram entry has a pole at N={point.N}: {exc}") from exc
-    rank = matrix_rank(mat, CyclotomicField(point.N).zero)
-    report.ranks[point.N] = rank
-    return rank
+    return matrix_rank(mat)
 
 
-def matrix_rank(mat: list, zero) -> int:
+def matrix_rank(mat: list) -> int:
     """Exact Gaussian elimination over any field with inv, *, - and is_zero.
 
     Each pivot is inverted once.  Only the columns right of the pivot are

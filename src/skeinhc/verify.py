@@ -391,7 +391,7 @@ def _tl_gram_rank(n: int) -> int:
     field = CyclotomicField(2)
     delta = field.zeta + field.zeta.inv()
     mat = [[delta ** loops(d1, d2) for d2 in diagrams] for d1 in diagrams]
-    return matrix_rank(mat, field.zero)
+    return matrix_rank(mat)
 
 
 def suite_combinatorics(seed=0):

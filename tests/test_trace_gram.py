@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import legacy_closure
 from skeinhc import trace_gram
 from skeinhc.errors import ConsistencyError, DomainError, PoleError
 from skeinhc.hecke_clifford import (
@@ -19,8 +20,9 @@ from skeinhc.hecke_clifford import (
     t_element,
     theta,
 )
-from skeinhc.scalars import I, ONE, QIQ, CyclotomicField, SpecializationPoint, specialize
+from skeinhc.scalars import I, ONE, Q, QIQ, CyclotomicField, SpecializationPoint, specialize
 from skeinhc.trace_gram import (
+    GramReport,
     close_last_strand,
     gram_matrix,
     gram_rank,
@@ -61,6 +63,31 @@ def test_derived_closures():
     assert close_last_strand(t_element(2, 0, inverse=True)) == one1.scale(-I)
     assert close_last_strand(e_element(2, 0)).is_zero
     assert close_last_strand(multiply(e_element(2, 0), t_element(2, 0))) == one1.scale(I)
+
+
+@pytest.mark.parametrize("field", [QIQ, CyclotomicField(3)], ids=["QIQ", "zeta12"])
+def test_close_monomial_matches_sandwich_oracle(field):
+    for n in range(1, 6):
+        for w, emask in basis_keys_even(n):
+            want = legacy_closure.close_monomial(n, w, emask, field)
+            assert trace_gram._close_monomial(n, w, emask, field) == want, (w, emask)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_psi_conjugation_identities(n):
+    # psi(x) = e_g^(-1) x e_g with g = n-2, and e_g^(-1) = -e_g
+    g = n - 2
+    eg, tg = e_element(n, g), t_element(n, g)
+    assert multiply(eg, eg) == -identity_element(n)
+    psi = lambda x: -multiply(multiply(eg, x), eg)
+    t, e = t_element(n, g - 1), e_element(n, g - 1)
+    assert psi(t) == multiply(t, e)
+    assert psi(e) == -e
+    for j in range(g - 1):
+        assert psi(t_element(n, j)) == t_element(n, j)
+        assert psi(e_element(n, j)) == e_element(n, j)
+    for x in (t, e):
+        assert multiply(multiply(tg, x), eg) == multiply(multiply(tg, eg), psi(x))
 
 
 def test_trace_of_identity():
@@ -261,8 +288,6 @@ def test_gram_ranks():
     assert gram_rank(r2, 3) == 4
     assert gram_rank(r2, 2) == 2
     assert gram_rank(r2, "generic") == 4
-    assert r2.ranks == {5: 4, 3: 4, 2: 2}
-    assert r2.generic_rank == 4
 
 
 def test_gram_rank_mixed_signature():
@@ -273,18 +298,26 @@ def test_gram_rank_mixed_signature():
 
 def test_generic_rank_three_strands():
     # regression anchor: the pairing is nondegenerate at generic q here
-    # (computed, not claimed a priori; three exact sample points agree)
+    # (computed, not claimed a priori; full rank at one rational q certifies it)
     r = gram_matrix("+++", "+++")
     assert gram_rank(r, "generic") == 24
+
+
+def test_generic_rank_certified_past_a_vanishing_sample():
+    # 7q - 5 vanishes at the sample q = 5/7 but not over Q(i)(q)
+    key = ((0,), 0)
+    assert gram_rank(GramReport("+", "+", [key], [[7 * Q - 5]]), "generic") == 1
+    singular = [[ONE, Q], [Q, Q * Q]]
+    assert gram_rank(GramReport("+", "+", [key, key], singular), "generic") == 1
 
 
 def test_matrix_rank_exact():
     fld = CyclotomicField(2)
     two = fld.from_int(2)
     mat = [[two, fld.zeta], [fld.zeta, two]]
-    assert matrix_rank(mat, fld.zero) == 2
+    assert matrix_rank(mat) == 2
     mat2 = [[fld.one, fld.one], [fld.one, fld.one]]
-    assert matrix_rank(mat2, fld.zero) == 1
+    assert matrix_rank(mat2) == 1
 
 
 def test_trace_rejects_full_variant():
