@@ -5,12 +5,14 @@ BENCH_*.json entry.
 
 Run from the root of a checkout; the package is imported from ./src.  The
 entry records the assembly time of ``gram_matrix('++++', '++++')``, whether
-the matrix is symmetric, and for each N the rank at q = zeta_4N with its
-time, and the certified generic rank with its time.  It also times the
-trace vector of End(+^5) from cold caches, building every right-action row
-of End(+^5) (each basis monomial times each t_j and e_j) and assembling the
-full ``gram_matrix('++-', '++-')``.  It is merged into --out under the key
-``end4/direct``; other keys in the file are kept.
+the matrix is symmetric, for each N the rank at q = zeta_4N with its time
+and the path-count prediction ``rank_oracle(4, N)``, and the certified
+generic rank with its time.  It also times the trace vector of End(+^5)
+from cold caches, building every right-action row of End(+^5) (each basis
+monomial times each t_j and e_j) and assembling the full
+``gram_matrix('++-', '++-')``.  It is merged into --out under the key
+``end4/direct``; other keys in the file are kept.  The script exits 1 if a
+rank differs from its prediction.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path("src").resolve()))
 
+from skeinhc.combinatorics import rank_oracle  # noqa: E402
 from skeinhc.hecke_clifford import _right_action, basis_keys_even  # noqa: E402
 from skeinhc.scalars import QIQ  # noqa: E402
 from skeinhc.trace_gram import (  # noqa: E402
@@ -47,11 +50,16 @@ def main() -> int:
         report.entries[j][k] == report.entries[k][j] for j in range(n) for k in range(j)
     )
     entry["ranks"] = {}
+    mismatches = []
     for N in args.spec:
         start = time.perf_counter()
         rank = gram_rank(report, N)
-        entry["ranks"][str(N)] = {"rank": rank, "seconds": time.perf_counter() - start}
-        print(f"N={N}: rank {rank}", file=sys.stderr)
+        seconds = time.perf_counter() - start
+        oracle = rank_oracle(4, N)
+        entry["ranks"][str(N)] = {"rank": rank, "oracle": oracle, "seconds": seconds}
+        print(f"N={N}: rank {rank}, oracle {oracle}", file=sys.stderr)
+        if rank != oracle:
+            mismatches.append(N)
     entry["spec_total_s"] = sum(r["seconds"] for r in entry["ranks"].values())
     start = time.perf_counter()
     entry["generic_rank"] = gram_rank(report, "generic")
@@ -75,6 +83,9 @@ def main() -> int:
     data["end4/direct"] = entry
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(json.dumps(entry))
+    if mismatches:
+        print(f"rank differs from rank_oracle(4, N) at N = {mismatches}", file=sys.stderr)
+        return 1
     return 0
 
 

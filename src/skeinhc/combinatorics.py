@@ -36,6 +36,7 @@ __all__ = [
     "decompose_object",
     "pair_weight",
     "dim_end_oracle",
+    "rank_oracle",
     "dim_hom_formula",
 ]
 
@@ -280,6 +281,45 @@ def dim_end_oracle(n: int) -> int:
             f"path count {total} disagrees with 2^(n-1)*n! = {expected} at n={n}"
         )
     return total
+
+
+@lru_cache(maxsize=None)
+def rank_oracle(n: int, N: int) -> int:
+    """Predicted rank of the End(+^n) Gram matrix at q = zeta_4N, by path
+    counting in the level-N alcove of dominant GL(N) weights.
+
+    A step adds 1 to one coordinate, keeping the weight dominant with
+    w_1 - w_N <= N.  With a_v the number of n-step paths from 0 to v and
+    b_v the number of n-step paths to v from the summands of the even
+    algebra object (`decompose_object`) that lie in the alcove, the
+    prediction is sum_v a_v * b_v: Hom from X^n to A (x) X^n, semisimplified
+    at level N.
+
+    >>> [rank_oracle(4, N) for N in range(2, 9)]
+    [8, 64, 160, 192, 192, 192, 192]
+    """
+    if n < 0:
+        raise DomainError("rank_oracle requires n >= 0")
+
+    def walk(counts: dict) -> dict:
+        for _ in range(n):
+            nxt: dict = {}
+            for w, c in counts.items():
+                for j in range(N):
+                    if j and w[j - 1] == w[j]:
+                        continue
+                    v = w[:j] + (w[j] + 1,) + w[j + 1 :]
+                    if v[0] - v[-1] <= N:
+                        nxt[v] = nxt.get(v, 0) + c
+            counts = nxt
+        return counts
+
+    starts: dict = {}
+    for _, w in decompose_object(N, "even"):
+        if w[0] - w[-1] <= N:
+            starts[w] = starts.get(w, 0) + 1
+    a, b = walk({(0,) * N: 1}), walk(starts)
+    return sum(c * b.get(v, 0) for v, c in a.items())
 
 
 def dim_hom_formula(s1: str, s2: str) -> int:

@@ -775,6 +775,87 @@ def specialize(
     return CyclotomicValue(m, num, 1) * inv
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the first twelve prime bases decide every
+    n below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _modular_point(m: int) -> tuple:
+    """(p, zeta): the largest prime p below 2^61 with p = 1 (mod m), and an
+    element zeta of exact order m in F_p.
+
+    zeta_m -> zeta is then a ring map from Z[zeta_m] onto F_p.
+
+    >>> p, zeta = _modular_point(12)
+    >>> p % 12, pow(zeta, 12, p), pow(zeta, 6, p) == 1, pow(zeta, 4, p) == 1
+    (1, 1, False, False)
+    """
+    p = (1 << 61) - 1
+    p -= (p - 1) % m
+    while not _is_prime(p):
+        p -= m
+    factors = [r for r in range(2, m + 1) if m % r == 0 and _is_prime(r)]
+    for g in range(2, p):
+        zeta = pow(g, (p - 1) // m, p)
+        if all(pow(zeta, m // r, p) != 1 for r in factors):
+            return p, zeta
+    raise ConsistencyError(f"no element of order {m} modulo {p}")
+
+
+def residue(f: ScalarQ, p: int, q: int, i: int, inverses: dict) -> int | None:
+    """The image of f in F_p under q -> q and i -> i, where i^2 = -1 mod p;
+    None if its denominator vanishes there.
+
+    Each part of ``_parts`` is evaluated by Horner's rule.  ``inverses`` maps
+    a denominator to its inverse mod p (None if it vanishes); calls at the
+    same point that share it invert each denominator once.
+
+    >>> p, i = _modular_point(4)
+    >>> residue(ONE / (Q - 1), p, 3, i, {}) == (p + 1) // 2
+    True
+    >>> residue(ONE / (Q - 3), p, 3, i, {}) is None
+    True
+    """
+    nr, ni, dr, di = f._parts
+
+    def at(part):
+        acc = 0
+        for c in reversed(part):
+            acc = (acc * q + c) % p
+        return acc
+
+    key = (dr, di)
+    if key in inverses:
+        inv = inverses[key]
+    else:
+        den = (at(dr) + i * at(di)) % p
+        inv = inverses[key] = pow(den, -1, p) if den else None
+    if inv is None:
+        return None
+    return (at(nr) + i * at(ni)) * inv % p
+
+
 # ---------------------------------------------------------------------------
 # Textual scalar grammar: integers, i, q, ^ exponents, + - * /, parentheses.
 

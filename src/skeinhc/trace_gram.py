@@ -21,15 +21,15 @@ right action from h_u (test_psi_conjugation_identities checks psi).
 The full trace iterates the closure down to zero strands; it is cyclic and
 multiplicative under disjoint union, and a Gram matrix is the table of
 traces of products against 180-degree-rotated basis elements.  Ranks at the
-points q = exp(2*pi*i/4N) are computed by exact elimination over Q(zeta_4N);
-the generic rank is certified at one rational q when full, else eliminated
-over Q(i)(q).
+points q = exp(2*pi*i/4N) and over Q(i)(q) are certified mod one prime p:
+full rank mod p is full rank in characteristic 0.  Below full rank, or where
+a denominator vanishes mod p, the matrix is eliminated exactly over
+Q(zeta_4N) or Q(i)(q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError, PoleError
@@ -51,6 +51,8 @@ from .scalars import (
     QIQ,
     CyclotomicField,
     SpecializationPoint,
+    _modular_point,
+    residue,
     specialize,
 )
 from .combinatorics import dim_hom_formula
@@ -191,9 +193,13 @@ class GramReport:
         return len(self.basis)
 
 
-# Work bounds: End(+^5) is 1,920-dim; mixed signatures compose per entry.
+# Work bounds: End(+^5) is 1,920-dim.  Mixed signatures compose per entry
+# through End(s1), so their cost grows with each boundary's length and, at
+# 3 strands, with its downward letters.
 MAX_GRAM_STRANDS_PLUS = 4
 MAX_GRAM_STRANDS_MIXED = 3
+MAX_GRAM_BOUNDARY_MIXED = 3  # letters on one boundary
+MAX_GRAM_DOWN_MIXED = 1  # '-' letters on one boundary at 3 strands
 
 
 def gram_matrix(s1: str, s2: str) -> GramReport:
@@ -202,7 +208,7 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
     For +^n the basis is the algebra basis and entry (j, k) is
     tau(b_j theta(b_k)), from the trace vector and right-action tables;
     general signatures compose in the skein layer (sorted targets only).
-    Beyond the MAX_GRAM_STRANDS_* bounds this raises DomainError.
+    Beyond the MAX_GRAM_* bounds this raises DomainError.
     """
     charge = lambda s: s.count("+") - s.count("-")
     if charge(s1) != charge(s2):
@@ -215,6 +221,19 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
     if m > limit:
         kind = "all-plus" if plus else "mixed"
         raise DomainError(f"gram needs {m} strands, over the {kind} limit {limit}")
+    if not plus:
+        longest = max(len(s1), len(s2))
+        if longest > MAX_GRAM_BOUNDARY_MIXED:
+            raise DomainError(
+                f"gram needs a boundary of {longest} letters, "
+                f"over the mixed limit {MAX_GRAM_BOUNDARY_MIXED}"
+            )
+        down = max(s1.count("-"), s2.count("-"))
+        if m == MAX_GRAM_STRANDS_MIXED and down > MAX_GRAM_DOWN_MIXED:
+            raise DomainError(
+                f"gram needs {down} '-' letters on a boundary at {m} strands, "
+                f"over the mixed limit {MAX_GRAM_DOWN_MIXED}"
+            )
     basis = basis_keys_even(m)
     if len(basis) != dim_hom_formula(s1, s2):
         raise ConsistencyError("basis enumeration disagrees with dimension formula")
@@ -246,29 +265,74 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
     return GramReport(s1, s2, basis, entries)
 
 
+# q's image in F_p for the generic rank.  Any residue is sound: one where
+# the reduced matrix loses rank only costs the exact fallback.
+GENERIC_Q_RESIDUE = 0x1545F4914F6CDD1D
+
+
 def gram_rank(report: GramReport, point) -> int:
-    """Exact rank of the Gram matrix at a specialization point, or over
-    Q(i)(q) ('generic').  The rank at one rational value of q is a lower
-    bound on the generic rank, so full rank there certifies it; otherwise
-    (or at a pole) the matrix is eliminated over Q(i)(q)."""
+    """Certified rank of the Gram matrix at q = zeta_4N, or over Q(i)(q)
+    ('generic').
+
+    The matrix is first reduced mod the prime p of `_modular_point`: at
+    zeta_4N by q -> zeta and i -> zeta^N (a ring map from Z[zeta_4N], as
+    i = zeta^N there), generically by i -> an element of order 4 and q ->
+    GENERIC_Q_RESIDUE.  A nonzero minor mod p is nonzero in characteristic
+    0, so full rank mod p certifies the rank.  Below full rank, or where a
+    denominator vanishes mod p, the matrix is eliminated exactly: over
+    Q(zeta_4N) after `specialize` (a genuine pole raises PoleError), or over
+    Q(i)(q)."""
     if not report.basis:
         return 0
     if point == "generic":
-        try:
-            mat = [[c.eval_at(Fraction(5, 7)) for c in row] for row in report.entries]
-            if matrix_rank(mat) == report.dimension:
-                return report.dimension
-        except PoleError:
-            pass
-        return matrix_rank(report.entries)
-    if isinstance(point, int):
-        point = SpecializationPoint(point)
+        p, i = _modular_point(4)
+        q = GENERIC_Q_RESIDUE
+    else:
+        if isinstance(point, int):
+            point = SpecializationPoint(point)
+        p, q = _modular_point(point.order)
+        i = pow(q, point.N, p)
     inverses = {}  # each distinct denominator is inverted once
+    rows = _entrywise(report.entries, lambda c: residue(c, p, q, i, inverses))
+    if not any(None in row for row in rows) and _rank_mod_p(rows, p) == report.dimension:
+        return report.dimension
+    if point == "generic":
+        return matrix_rank(report.entries)
+    inverses = {}
     try:
-        mat = [[specialize(c, point, inverses) for c in row] for row in report.entries]
+        mat = _entrywise(report.entries, lambda c: specialize(c, point, inverses))
     except PoleError as exc:
         raise PoleError(f"Gram entry has a pole at N={point.N}: {exc}") from exc
     return matrix_rank(mat)
+
+
+def _entrywise(entries: list, fn) -> list:
+    """The matrix of fn(entry), with fn called once per distinct entry, in
+    row-major order of first appearance (End(+^3) has 35 among 576)."""
+    values = {c: fn(c) for c in dict.fromkeys(c for row in entries for c in row)}
+    return [[values[c] for c in row] for row in entries]
+
+
+def _rank_mod_p(rows: list, p: int) -> int:
+    """Rank of an int matrix mod the prime p; rows is consumed.  Each step
+    drops the pivot column, so every row update is one pass over the
+    columns still live."""
+    rank = 0
+    while rows and rows[0]:
+        for k, prow in enumerate(rows):
+            if prow[0]:
+                break
+        else:
+            rows = [row[1:] for row in rows]
+            continue
+        del rows[k]
+        inv = p - pow(prow[0], -1, p)  # minus the pivot's inverse
+        prow = prow[1:]
+        for k, row in enumerate(rows):
+            f = row[0] * inv % p
+            rows[k] = [(a + f * b) % p for a, b in zip(row[1:], prow)] if f else row[1:]
+        rank += 1
+    return rank
 
 
 def matrix_rank(mat: list) -> int:

@@ -19,6 +19,7 @@ from .combinatorics import (
     dim_end_oracle,
     dim_hom_formula,
     partitions,
+    rank_oracle,
     transpose,
 )
 from .hecke_clifford import (
@@ -314,7 +315,7 @@ def _shift(x, off, n_new):
 
 def suite_ranks(seed=0):
     """Criterion 4: semisimplification ranks at the special points, with the
-    Temperley-Lieb oracle at N = 2."""
+    Temperley-Lieb oracle at N = 2 and the path-count oracle at N = 2..8."""
     out = []
     r2 = gram_matrix("++", "++")
     out.append(_check("rank of End(+^2) at N=5 is 4", gram_rank(r2, 5) == 4))
@@ -335,6 +336,15 @@ def suite_ranks(seed=0):
             "rank of End(+^3) at N=2 matches the Temperley-Lieb oracle",
             gram_rank(r3, 2) == _tl_gram_rank(3),
             f"oracle rank {_tl_gram_rank(3)}",
+        )
+    )
+    got = {N: gram_rank(r3, N) for N in range(2, 9)}
+    want = {N: rank_oracle(3, N) for N in range(2, 9)}
+    out.append(
+        _check(
+            "ranks of End(+^3) at N=2..8 match the path-count oracle",
+            got == want,
+            f"computed {got}, oracle {want}",
         )
     )
     return out

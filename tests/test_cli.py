@@ -150,6 +150,27 @@ def test_gram_work_bound(capsys, sig, message):
 
 
 @pytest.mark.parametrize(
+    "source, target, message",
+    [
+        ("+--", "+--", "gram needs 2 '-' letters on a boundary at 3 strands, "
+         "over the mixed limit 1"),
+        ("---", "---", "gram needs 3 '-' letters on a boundary at 3 strands, "
+         "over the mixed limit 1"),
+        ("+-", "++--", "gram needs a boundary of 4 letters, over the mixed limit 3"),
+        ("++--", "", "gram needs a boundary of 4 letters, over the mixed limit 3"),
+        ("-", "++---", "gram needs a boundary of 5 letters, over the mixed limit 3"),
+    ],
+)
+def test_gram_mixed_work_bound(capsys, source, target, message):
+    # each of these ran for 19 s to over 900 s under the strand-count bound alone
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gram", f"--source={source}", f"--target={target}")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("trace", "--n", "3", "--word", "t1 e2 t2'", "--spec", "101"),

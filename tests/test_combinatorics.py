@@ -15,6 +15,7 @@ from skeinhc.combinatorics import (
     dim_hom_formula,
     hook11,
     partitions,
+    rank_oracle,
     transpose,
 )
 from skeinhc.errors import DomainError
@@ -176,3 +177,21 @@ def test_dim_hom_formula():
     assert dim_hom_formula("+", "-") == 0
     assert dim_hom_formula("", "") == 1
     assert dim_hom_formula("+-", "-+") == 4
+
+
+def test_rank_oracle():
+    # path counts in the level-N alcove; the End(+^2..4) rows equal every
+    # computed Gram rank (test_trace_gram), the End(+^5) row is a prediction
+    table = {
+        2: [2, 4, 4, 4, 4, 4, 4],
+        3: [4, 16, 24, 24, 24, 24, 24],
+        4: [8, 64, 160, 192, 192, 192, 192],
+        5: [16, 256, 1088, 1792, 1920],
+    }
+    for n, row in table.items():
+        assert [rank_oracle(n, N) for N in range(2, 2 + len(row))] == row
+    assert rank_oracle(0, 3) == rank_oracle(1, 3) == 1
+    with pytest.raises(DomainError):
+        rank_oracle(-1, 3)
+    with pytest.raises(DomainError):
+        rank_oracle(2, 1)

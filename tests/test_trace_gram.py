@@ -20,7 +20,20 @@ from skeinhc.hecke_clifford import (
     t_element,
     theta,
 )
-from skeinhc.scalars import I, ONE, Q, QIQ, CyclotomicField, SpecializationPoint, specialize
+from skeinhc.combinatorics import rank_oracle
+from skeinhc.scalars import (
+    I,
+    ONE,
+    Q,
+    QIQ,
+    CyclotomicField,
+    ScalarQ,
+    SpecializationPoint,
+    _is_prime,
+    _modular_point,
+    residue,
+    specialize,
+)
 from skeinhc.trace_gram import (
     GramReport,
     close_last_strand,
@@ -309,6 +322,80 @@ def test_generic_rank_certified_past_a_vanishing_sample():
     assert gram_rank(GramReport("+", "+", [key], [[7 * Q - 5]]), "generic") == 1
     singular = [[ONE, Q], [Q, Q * Q]]
     assert gram_rank(GramReport("+", "+", [key, key], singular), "generic") == 1
+
+
+@pytest.mark.parametrize("sig", ["++", "+++", "+-", "--"])
+def test_modular_rank_matches_exact_elimination(sig):
+    r = gram_matrix(sig, sig)
+    for N in range(2, 9):
+        exact = matrix_rank([[specialize(c, N) for c in row] for row in r.entries])
+        assert gram_rank(r, N) == exact
+    assert gram_rank(r, "generic") == matrix_rank(r.entries)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 20, 32])
+def test_modular_point(m):
+    p, zeta = _modular_point(m)
+    assert p < 2**61 and p % m == 1 and _is_prime(p)
+    assert not any(_is_prime(c) for c in range(p + m, 2**61, m))
+    assert pow(zeta, m, p) == 1
+    assert all(pow(zeta, m // r, p) != 1 for r in (2, 3, 5) if m % r == 0)
+
+
+def test_residue_is_specialize_reduced_mod_p():
+    # zeta_4N -> zeta in F_p carries specialize's image to the residue
+    entries = [c for row in gram_matrix("+++", "+++").entries for c in row]
+    for N in (2, 3, 5, 8):
+        p, zeta = _modular_point(4 * N)
+        inverses = {}
+        for f in entries[::7]:
+            value = specialize(f, N)
+            image = sum(c.numerator * pow(zeta, k, p) * pow(c.denominator, -1, p)
+                        for k, c in enumerate(value.coeffs)) % p
+            assert residue(f, p, zeta, pow(zeta, N, p), inverses) == image
+
+
+def test_modular_reduction_keeps_the_relations():
+    # singular only because q^N = i and i^2 = -1: a reduction breaking either
+    # relation would certify a full rank that is not there
+    key = ((0,), 0)
+    for N in range(2, 9):
+        assert gram_rank(GramReport("+", "+", [key], [[Q**N - I]]), N) == 0
+    twisted = [[ONE, I], [I, -ONE]]
+    for point in [*range(2, 9), "generic"]:
+        assert gram_rank(GramReport("+", "+", [key, key], twisted), point) == 1
+
+
+def test_rank_certificate_survives_bad_primes():
+    # p and 1/p vanish or blow up mod p, so the rank falls back to exact
+    key = ((0,), 0)
+    for point, m in ((5, 20), ("generic", 4)):
+        p, _ = _modular_point(m)
+        for entry in (ScalarQ(p), ONE / p):
+            assert gram_rank(GramReport("+", "+", [key], [[entry]]), point) == 1
+
+
+def test_genuine_pole_keeps_its_message():
+    key = ((0,), 0)
+    report = GramReport("+", "+", [key], [[ONE / (Q**5 - I)]])
+    with pytest.raises(PoleError) as info:
+        gram_rank(report, 5)
+    assert str(info.value) == (
+        f"Gram entry has a pole at N=5: denominator of {ONE / (Q**5 - I)} "
+        "vanishes at q = zeta_20"
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_oracle_matches_gram_ranks(n):
+    r = gram_matrix("+" * n, "+" * n)
+    assert [gram_rank(r, N) for N in range(2, 9)] == [rank_oracle(n, N) for N in range(2, 9)]
+
+
+def test_rank_oracle_matches_end4_full_rank_points(gram_end4):
+    # N = 5..8 are certified mod p; N = 2..4 take the exact fallback (bench/end4.py)
+    for N in range(5, 9):
+        assert gram_rank(gram_end4, N) == rank_oracle(4, N) == 192
 
 
 def test_matrix_rank_exact():
