@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .combinatorics import (
     as_diagram,
@@ -25,7 +26,7 @@ from .errors import ConsistencyError, DomainError
 from .hecke_clifford import normalize, parse_generator_word, term_list
 from .scalars import SpecializationPoint, specialize
 from .skein import basis_indices
-from .trace_gram import gram_matrix, gram_rank, markov_trace
+from .trace_gram import _entrywise, gram_matrix, gram_rank, markov_trace
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -38,7 +39,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: it holds no per-call
+    state (argparse copies the ``append`` default before each append)."""
     parser = _Parser(prog="skeinhc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -80,6 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", type=int, action="append", default=[])
     p.add_argument("--generic", action="store_true")
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
@@ -192,6 +197,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    for flag in ("source", "target"):
+        if not isinstance(getattr(args, flag), str):  # "--source=--" gives []
+            args.usage_error(
+                f"argument --{flag}: argparse reads '--' as the end of options; "
+                "the signature '--' is library-only (gram_matrix('--', '--'))"
+            )
     points = [SpecializationPoint(N) for N in args.spec]  # bad --spec fails fast
     report = gram_matrix(args.source, args.target)
     ranks = {}
@@ -205,7 +216,7 @@ def _cmd_gram(args) -> int:
             {"w": _perm_string(w), "s": format(emask, "b").zfill(1)}
             for (w, emask) in report.basis
         ],
-        "entries": [[str(c) for c in row] for row in report.entries],
+        "entries": _entrywise(report.entries, str),
         "ranks": ranks,
     }
     if args.generic:

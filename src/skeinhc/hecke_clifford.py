@@ -417,14 +417,32 @@ def normalize_full(letters, n: int, field=QIQ) -> AlgebraElement:
 def normalize(letters, n: int, field=QIQ) -> AlgebraElement:
     """Expand a generator word; even words come back in the h_w e_s basis.
 
-    Words containing an odd total number of v's stay in the full variant.
+    A word of t and e letters is folded from the unit through the even
+    action.  Words with v letters go through the full basis; those with an
+    odd total number of v's stay in the full variant.
     """
     letters = list(letters)
+    if all(letter[0] != "v" for letter in letters):
+        if n < 0:
+            raise DomainError(f"strand count must be nonnegative, got {n}")
+        for letter in letters:
+            _validate_letter(letter, n)
+        word = [_action_letter(letter) for letter in letters]
+        unit = {(perm_identity(n), 0): field.one}
+        return AlgebraElement(n, "even", _rmul_word(unit, word, field), field)
     full = normalize_full(letters, n, field)
     degrees = {bin(vmask).count("1") & 1 for (vmask, _w) in full.terms} or {0}
     if degrees == {0}:
         return even_convert(full)
     return full
+
+
+def _action_letter(letter) -> tuple:
+    """A t or e letter as _right_action spells it: ("t", j) for t_j shares
+    the rows of every other caller, ("t", j, -1) is t_j^(-1)."""
+    if letter[0] == "e":
+        return letter
+    return ("t", letter[1], -1) if letter[2] < 0 else ("t", letter[1])
 
 
 def _validate_letter(letter, n: int):

@@ -33,6 +33,7 @@ from .hecke_clifford import (
     identity_element,
     multiply,
     normalize,
+    normalize_full,
     t_element,
 )
 from .scalars import (
@@ -63,14 +64,18 @@ def _check(name, ok, detail=""):
     return (name, bool(ok), detail)
 
 
-def _random_even_element(n, rng, max_letters=6, field=QIQ):
+def _random_even_word(n, rng, max_letters=6):
     letters = []
     for _ in range(rng.randint(1, max_letters)):
         if rng.random() < 0.6:
             letters.append(("t", rng.randrange(n - 1), rng.choice([1, -1])))
         else:
             letters.append(("e", rng.randrange(n - 1)))
-    return normalize(letters, n, field)
+    return letters
+
+
+def _random_even_element(n, rng, max_letters=6, field=QIQ):
+    return normalize(_random_even_word(n, rng, max_letters), n, field)
 
 
 def suite_dims(seed=0):
@@ -263,6 +268,22 @@ def suite_algebra(seed=0):
         if fixed != even_part:
             ok_alpha = False
     out.append(_check("alpha squares to the identity and fixes the even part", ok_alpha))
+
+    # normalize folds t/e words through the even action; the full basis is
+    # the oracle
+    bad = 0
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        letters = _random_even_word(n, rng, 8)
+        if normalize(letters, n) != even_convert(normalize_full(letters, n)):
+            bad += 1
+    out.append(
+        _check(
+            "normalize of 50 random t/e words matches the full-basis conversion",
+            bad == 0,
+            f"{bad} mismatches",
+        )
+    )
     return out
 
 

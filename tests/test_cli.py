@@ -1,11 +1,17 @@
 """Command-line surface: outputs, schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from skeinhc.cli import main
+import skeinhc
+from skeinhc.cli import _build_parser, main
+from skeinhc.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -102,6 +108,8 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, _ = run(capsys, "trace", "--n", "5", "--word", "t9")
     assert code == 2
+    code, _, _ = run(capsys, "normalize", "--n", "3", "--word", "t1 e3")
+    assert code == 2
     code, _, _ = run(capsys, "tableaux")
     assert code == 2
     assert main(["nosuchcommand"]) == 1
@@ -186,3 +194,43 @@ def test_bad_spec_fails_before_any_work(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: specialization points require 2 <= N <= 100")
+
+
+@pytest.mark.parametrize("argv", [("--source=--", "--target=++"),
+                                  ("--source=++", "--target=--")])
+def test_double_minus_signature_is_a_usage_error(capsys, argv):
+    # argparse reads the value -- as its end-of-options marker and stores []
+    code, out, err = run(capsys, "gram", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: skeinhc gram")
+    assert "the signature '--' is library-only" in err
+
+
+def fresh(*argv):
+    """One CLI call in a new interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skeinhc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "skeinhc.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cached_parser_keeps_no_state(capsys, monkeypatch):
+    # the parser is built once per process; each call must still read as
+    # the same call in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+    calls = [
+        ("gram", "--source", "++", "--target", "++", "--spec", "2"),
+        ("gram", "--source", "++", "--target", "++"),
+        ("gram", "--source", "++"),
+        ("gram", "--source", "++", "--target", "++"),
+        ("verify", "--suite", "nosuch"),
+    ]
+    results = [run(capsys, *argv) for argv in calls]
+    assert _build_parser() is _build_parser()
+    assert [code for code, _, _ in results] == [0, 0, 1, 0, 1]
+    assert json.loads(results[0][1])["ranks"] == {"2": 2}
+    assert json.loads(results[1][1])["ranks"] == {}
+    assert results[3] == results[1]
+    assert all(repr(name) in results[4][2] for name in SUITES)
+    for argv, result in zip(calls, results):
+        assert fresh(*argv) == result, argv

@@ -1,6 +1,7 @@
 """Normal forms and relations in the algebras and their even parts."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -211,10 +212,40 @@ def test_parity_error_on_odd_conversion():
         even_convert(v_element(2, 0))
 
 
+def _even_letters(n):
+    return (
+        [("t", j, 1) for j in range(n - 1)]
+        + [("t", j, -1) for j in range(n - 1)]
+        + [("e", j) for j in range(n - 1)]
+    )
+
+
+def test_normalize_even_words_match_full_basis():
+    # t/e words fold from the unit through the even action; the c_s h_w
+    # basis is the oracle: every word of length <= 4 for n <= 4, a sample of
+    # length-8 words at n = 5
+    words = [
+        (n, word)
+        for n in (2, 3, 4)
+        for length in range(5)
+        for word in product(_even_letters(n), repeat=length)
+    ]
+    rng = random.Random(8)
+    words += [(5, [rng.choice(_even_letters(5)) for _ in range(8)]) for _ in range(30)]
+    for n, word in words:
+        assert normalize(word, n) == even_convert(normalize_full(word, n)), (n, word)
+
+
 def test_normalize_word_variants():
     w = parse_generator_word("t1 t1", 2)
     assert normalize(w, 2) == identity_element(2) + t_element(2, 0).scale(Z)
     assert normalize(parse_generator_word("v1", 2), 2).variant == "full"
+    assert normalize(parse_generator_word("t1 v1 v2", 2), 2).variant == "even"
+    for n in (0, 1):
+        assert normalize([], n) == identity_element(n)
+    for letters, n in (([("e", 2)], 3), ([("t", 2, 1)], 3), ([("t", 0, -1)], 1), ([], -1)):
+        with pytest.raises(DomainError):
+            normalize(letters, n)
     with pytest.raises(DomainError):
         parse_generator_word("t5", 3)
     with pytest.raises(DomainError):
