@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, ParityError
+from .errors import ConsistencyError, DomainError, ParityError
 from .scalars import QIQ
 
 __all__ = [
@@ -520,6 +520,18 @@ def _lmul_even(j: int, terms: dict, z, inverse: bool = False) -> dict:
     return out
 
 
+def _rmul_terms(terms: dict, other: dict, field, shift: int = 0) -> dict:
+    """Right-multiply an even-variant term dict by the even-variant term dict
+    other, whose strand k acts on strand shift + k of terms."""
+    out: dict = {}
+    for (w, emask), cb in other.items():
+        word = [("t", shift + i) for i in reduced_word(w)]
+        word += [("e", shift + j) for j in _bits(emask)]
+        for key, c in _rmul_word(terms, word, field).items():
+            _add_term(out, key, c * cb)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Products and basis conversions.
 
@@ -528,13 +540,9 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.n != b.n or a.variant != b.variant:
         raise DomainError("mismatched strand counts or variants")
     if a.variant == "even":
-        out: dict = {}
-        for (w, emask), cb in b.terms.items():
-            word = [("t", i) for i in reduced_word(w)]
-            word += [("e", j) for j in _bits(emask)]
-            for key, c in _rmul_word(a.terms, word, a.field).items():
-                _add_term(out, key, c * cb)
-        return AlgebraElement(a.n, "even", out, a.field)
+        return AlgebraElement(
+            a.n, "even", _rmul_terms(a.terms, b.terms, a.field), a.field
+        )
     out: dict = {}
     for (vmask, w), ca in a.terms.items():
         cur = {key: c * ca for key, c in b.terms.items()}
@@ -730,5 +738,3 @@ def term_list(a: AlgebraElement) -> list[dict]:
         )
     return out
 
-
-from .errors import ConsistencyError  # noqa: E402

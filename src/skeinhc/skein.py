@@ -22,11 +22,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .hecke_clifford import (
     AlgebraElement,
     _add_term,
     _lmul_even,
+    _rmul_terms,
     _rmul_word,
     basis_keys_even,
     identity_element,
@@ -214,12 +215,15 @@ class _State:
             raise DomainError(f"unknown diagram letter {letter!r}")
 
 
-def _apply_hom_word(state: _State, key, s_from: str, s_to: str, part_start: int):
-    """Apply the canonical word of the basis element `key` of
-    Hom(s_from -> s_to) to the segment of the running signature starting at
-    part_start (which must currently read s_from).  Requires s_to sorted.
+def _apply_hom_word(
+    state: _State, box: dict, s_from: str, s_to: str, part_start: int
+):
+    """Apply the diagram of the element of Hom(s_from -> s_to) with basis
+    coordinates `box` (key -> scalar) to the segment of the running signature
+    starting at part_start (which must currently read s_from).  Requires s_to
+    sorted.  Every step is linear, so the cups and caps run once and the box
+    acts as one right multiplication.
     """
-    w, emask = key
     seg = state.sig[part_start : part_start + len(s_from)]
     if "".join(seg) != s_from:
         raise DomainError("segment does not match the morphism source")
@@ -231,12 +235,7 @@ def _apply_hom_word(state: _State, key, s_from: str, s_to: str, part_start: int)
     for j in range(m_to):
         state.cup(part_start + len(s_from) + j, "+-")
     # the algebra box itself, addressed by plus ranks
-    from .hecke_clifford import reduced_word, _bits
-
-    for i in reduced_word(w):
-        state.vcross(rank_offset + i)
-    for j in _bits(emask):
-        state.vladder(rank_offset + j)
+    state.terms = _rmul_terms(state.terms, box, state.field, rank_offset)
     # caps pairing the source minuses with the top-ranked box outputs,
     # leftmost minus against the highest rank
     n_minus = s_from.count("-")
@@ -279,7 +278,7 @@ def _is_plus_pair(source: str, target: str) -> bool:
 def _basis_column(source: str, target: str, key, field=QIQ) -> dict:
     """Bent coordinates of one hom-basis diagram (cached per key)."""
     state = _State(source, field)
-    _apply_hom_word(state, key, source, target, 0)
+    _apply_hom_word(state, {key: field.one}, source, target, 0)
     if "".join(state.sig) != _sorted_sig(target):
         raise ConsistencyError("basis word left an unexpected boundary")
     return dict(state.x.terms)
@@ -445,55 +444,29 @@ class HomElement:
             raise DomainError("signature mismatch in composition")
         if self.is_zero or other.is_zero:
             return HomElement(self.source, other.target, {}, self.field)
-        bent = self.bend()
-        total = None
-        for key, c in other.coeffs.items():
-            state = _State(self.target, self.field)
-            state.p1 = self.source.count("+")
-            state.set_even(bent)
-            _apply_hom_word(state, key, self.target, other.target, 0)
-            if "".join(state.sig) != _sorted_sig(other.target):
-                raise DomainError("composition left an unexpected boundary")
-            piece = state.x.scale(c)
-            total = piece if total is None else total + piece
-        return HomElement(
-            self.source,
-            other.target,
-            _algebra_to_coords(
-                dict(total.terms), self.source, other.target, self.field
-            ),
-            self.field,
-        )
+        state = _State(self.target, self.field)
+        state.p1 = self.source.count("+")
+        state.set_even(self.bend())
+        _apply_hom_word(state, other.coeffs, self.target, other.target, 0)
+        if "".join(state.sig) != _sorted_sig(other.target):
+            raise DomainError("composition left an unexpected boundary")
+        coeffs = _algebra_to_coords(state.terms, self.source, other.target, self.field)
+        return HomElement(self.source, other.target, coeffs, self.field)
 
     def tensor(self, other: "HomElement") -> "HomElement":
         src = self.source + other.source
         tgt = self.target + other.target
-        if _charge(self.source) != _charge(self.target) or _charge(
-            other.source
-        ) != _charge(other.target):
+        if self.is_zero or other.is_zero:  # as is every element of a zero hom space
             return HomElement(src, tgt, {}, self.field)
-        total = None
-        for key1, c1 in self.coeffs.items():
-            for key2, c2 in other.coeffs.items():
-                state = _State(src, self.field)
-                _apply_hom_word(state, key1, self.source, self.target, 0)
-                _apply_hom_word(
-                    state, key2, other.source, other.target, len(self.target)
-                )
-                if "".join(state.sig) != _sorted_sig(self.target) + _sorted_sig(
-                    other.target
-                ):
-                    raise DomainError("tensor left an unexpected boundary")
-                piece = state.x.scale(c1 * c2)
-                total = piece if total is None else total + piece
-        if total is None:
-            return HomElement(src, tgt, {}, self.field)
-        return HomElement(
-            src,
-            tgt,
-            _algebra_to_coords(dict(total.terms), src, tgt, self.field),
-            self.field,
+        state = _State(src, self.field)
+        _apply_hom_word(state, self.coeffs, self.source, self.target, 0)
+        _apply_hom_word(
+            state, other.coeffs, other.source, other.target, len(self.target)
         )
+        if "".join(state.sig) != _sorted_sig(self.target) + _sorted_sig(other.target):
+            raise DomainError("tensor left an unexpected boundary")
+        coeffs = _algebra_to_coords(state.terms, src, tgt, self.field)
+        return HomElement(src, tgt, coeffs, self.field)
 
     def rotate_180(self) -> "HomElement":
         """The fixed contravariant duality Hom(s1->s2) -> Hom(s2->s1): the
@@ -777,5 +750,3 @@ def hom_from_json(text: str, field=QIQ) -> HomElement:
     bent = AlgebraElement(m, "even", terms, field)
     return HomElement.unbend(bent, data["source"], data["target"])
 
-
-from .errors import ConsistencyError  # noqa: E402

@@ -49,8 +49,8 @@ from .hecke_clifford import (
 )
 from .scalars import (
     QIQ,
-    CyclotomicField,
     SpecializationPoint,
+    _field_for,
     _modular_point,
     residue,
     specialize,
@@ -159,8 +159,8 @@ def markov_trace_at(x: AlgebraElement, N: int):
     run the same closure recursion in cyclotomic arithmetic."""
     if not isinstance(x.field, type(QIQ)):
         raise DomainError("markov_trace_at expects rational-function coefficients")
-    cf = CyclotomicField(N)
-    spec = x.map_coefficients(lambda c: specialize(c, SpecializationPoint(N)), cf)
+    cf = _field_for(N)
+    spec = x.map_coefficients(lambda c: specialize(c, cf.point), cf)
     return markov_trace(spec)
 
 

@@ -520,7 +520,6 @@ def suite_specialization(seed=0):
     )
     ok_hom = True
     for N in (2, 3, 5):
-        fld = CyclotomicField(N)
         ok_all = True
         for _ in range(50):
             n = rng.randint(2, 3)

@@ -180,6 +180,73 @@ def test_compose_associative_mixed():
         assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
+def _random_hom(s1, s2, rng, terms=3):
+    keys = basis_indices(s1, s2)
+    coeffs = {
+        k: QIQ.from_int(rng.choice((-2, -1, 1, 3))) * QIQ.q ** rng.randint(-2, 2)
+        for k in rng.sample(keys, min(terms, len(keys)))
+    }
+    return HomElement(s1, s2, coeffs)
+
+
+def _hom_sum(source, target, pieces):
+    total = HomElement(source, target)
+    for piece in pieces:
+        total = total + piece
+    return total
+
+
+@pytest.mark.parametrize(
+    "s1, s2, s3",
+    [
+        ("+-", "+-", "+-"),
+        ("++-", "++-", "++-"),
+        ("+--", "-", "+--"),
+        ("-", "+--", "-"),
+    ],
+)
+def test_compose_is_linear_in_the_upper_factor(s1, s2, s3):
+    # one pass of a multi-key element equals the sum of single-key passes
+    rng = random.Random(s1 + s2 + s3)
+    for _ in range(3):
+        a, b = _random_hom(s1, s2, rng), _random_hom(s2, s3, rng)
+        expected = _hom_sum(
+            s1,
+            s3,
+            (
+                a.compose(hom_basis_element(s2, s3, k)).scale(c)
+                for k, c in b.coeffs.items()
+            ),
+        )
+        assert a.compose(b) == expected
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (("++", "++"), ("+-", "+-")),
+        (("+-", "+-"), ("-", "-")),
+        (("+", "+"), ("+--", "-")),
+    ],
+)
+def test_tensor_is_bilinear(left, right):
+    rng = random.Random(29)
+    for _ in range(2):
+        a, b = _random_hom(*left, rng), _random_hom(*right, rng)
+        expected = _hom_sum(
+            left[0] + right[0],
+            left[1] + right[1],
+            (
+                hom_basis_element(*left, k)
+                .tensor(hom_basis_element(*right, l))
+                .scale(c * d)
+                for k, c in a.coeffs.items()
+                for l, d in b.coeffs.items()
+            ),
+        )
+        assert a.tensor(b) == expected
+
+
 def test_bend_unbend_round_trip():
     rng = random.Random(1)
     f = QIQ
@@ -288,15 +355,11 @@ def _close_minus_strand(hom):
     """Partial closure of the downward strand of an End(+-) element."""
     from skeinhc.skein import _State, _apply_hom_word
 
-    total = None
-    for key, c in hom.coeffs.items():
-        st = _State("+", QIQ)
-        st.cup(1, "-+")
-        _apply_hom_word(st, key, "+-", "+-", 0)
-        st.cap(1)
-        piece = st.x.scale(c)
-        total = piece if total is None else total + piece
-    return total
+    st = _State("+", QIQ)
+    st.cup(1, "-+")
+    _apply_hom_word(st, hom.coeffs, "+-", "+-", 0)
+    st.cap(1)
+    return st.x
 
 
 def test_g_projection_partial_closure_value():
