@@ -275,76 +275,70 @@ def _is_plus_pair(source: str, target: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _basis_column(source: str, target: str, key, field=QIQ) -> dict:
-    """Bent coordinates of one hom-basis diagram (cached per key)."""
-    state = _State(source, field)
-    _apply_hom_word(state, {key: field.one}, source, target, 0)
-    if "".join(state.sig) != _sorted_sig(target):
-        raise ConsistencyError("basis word left an unexpected boundary")
-    return dict(state.x.terms)
-
-
-@lru_cache(maxsize=None)
-def _basis_inverse(source: str, target: str, field=QIQ):
-    m = (len(source) + len(target)) // 2
-    keys = basis_keys_even(m)
-    columns = {key: _basis_column(source, target, key, field) for key in keys}
-    return _invert_columns(keys, columns, field)
-
-
-def _invert_columns(keys, columns, field):
-    """Gauss-Jordan inverse of the change of basis (columns indexed by hom
-    keys, rows by algebra keys); ConsistencyError if singular."""
-    n = len(keys)
-    idx = {key: j for j, key in enumerate(keys)}
-    mat = [[field.zero] * n for _ in range(n)]
-    for j, key in enumerate(keys):
-        for akey, c in columns[key].items():
-            mat[idx[akey]][j] = c
-    aug = [row + [field.one if r == c else field.zero for c in range(n)]
-           for r, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if not aug[r][col].is_zero), None
-        )
+def _change_of_basis(source: str, target: str, field=QIQ):
+    """The bent columns of the hom basis (hom key -> algebra terms) and their
+    factor C = L*U, eliminated in basis_keys_even order without pivoting: one
+    (key, 1/pivot, column of L below the pivot, row of U right of it) per key.
+    """
+    keys = basis_keys_even((len(source) + len(target)) // 2)
+    columns = {}
+    rows = {key: {} for key in keys}  # C by rows, eliminated in place
+    for key in keys:
+        state = _State(source, field)
+        _apply_hom_word(state, {key: field.one}, source, target, 0)
+        if "".join(state.sig) != _sorted_sig(target):
+            raise ConsistencyError("basis word left an unexpected boundary")
+        columns[key] = state.terms
+        for akey, c in state.terms.items():
+            rows[akey][key] = c
+    factor = []
+    for key in keys:
+        u_row = rows.pop(key)
+        pivot = u_row.pop(key, None)
         if pivot is None:
-            raise ConsistencyError("bent basis is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                f = aug[r][col]
-                aug[r] = [aug[r][k] - f * aug[col][k] for k in range(2 * n)]
-    inv_cols = {}
-    for j, akey in enumerate(keys):
-        col = {}
-        for r in range(n):
-            v = aug[r][n + j]
-            if not v.is_zero:
-                col[keys[r]] = v
-        inv_cols[akey] = col
-    return inv_cols
+            raise ConsistencyError(f"change of basis has a vanishing pivot at {key}")
+        inv = field.one / pivot
+        l_col = {}
+        for akey, row in rows.items():
+            c = row.pop(key, None)
+            if c is not None:
+                l_col[akey] = lc = c * inv
+                for j, u in u_row.items():
+                    _add_term(row, j, -lc * u)
+        factor.append((key, inv, l_col, u_row))
+    return columns, factor
 
 
 def _coords_to_algebra(coeffs: dict, source: str, target: str, field) -> dict:
     if _is_plus_pair(source, target):
         return dict(coeffs)
+    columns = _change_of_basis(source, target, field)[0]
     out: dict = {}
     for key, c in coeffs.items():
-        for akey, v in _basis_column(source, target, key, field).items():
+        for akey, v in columns[key].items():
             _add_term(out, akey, c * v)
     return out
 
 
 def _algebra_to_coords(terms: dict, source: str, target: str, field) -> dict:
+    """Solve C*x = terms: forward through L, then back through U."""
     if _is_plus_pair(source, target):
         return dict(terms)
-    inv = _basis_inverse(source, target, field)
+    factor = _change_of_basis(source, target, field)[1]
+    y = dict(terms)
+    for key, _, l_col, _ in factor:
+        c = y.get(key)
+        if c is not None:
+            for akey, v in l_col.items():
+                _add_term(y, akey, -v * c)
     out: dict = {}
-    for akey, c in terms.items():
-        for key, v in inv[akey].items():
-            _add_term(out, key, c * v)
+    for key, inv, _, u_row in reversed(factor):
+        c = y.get(key, field.zero)
+        for j, u in u_row.items():
+            if j in out:
+                c = c - u * out[j]
+        if not c.is_zero:
+            out[key] = c * inv
     return out
 
 
@@ -520,7 +514,7 @@ def evaluate(letters, source: str, field=QIQ) -> HomElement:
     for letter in letters:
         state.apply(letter)
     target = "".join(state.sig)
-    if "-+" in target and not _is_plus_pair(source, target):
+    if "-+" in target:
         raise DomainError(
             f"word ends on the non-sorted boundary {target!r}; coordinates "
             "need a sorted boundary (cap the open pairs or reorder)"
@@ -569,43 +563,40 @@ def g_projection(field=QIQ) -> HomElement:
 # ---------------------------------------------------------------------------
 # Word grammar: x3, x3' (crossing), e2 (ladder), cap2, cup2< / cup2>.
 
+# the suffixes each letter kind accepts
+_SUFFIXES = {"cap": ("", "<", ">"), "cup": ("<", ">"), "x": ("", "'"), "e": ("",)}
+
 
 def parse_diagram_word(text: str) -> list:
     """Parse the diagram-word grammar (1-based positions).
 
+    x3' is the inverse crossing; the ladder e2 has no inverse letter.
     cup< creates a (+,-) pair (flow right-to-left under the arc); cup>
-    creates (-,+).  Caps may carry a redundant < or > suffix.
+    creates (-,+).  Caps may carry one redundant < or > suffix.
     """
     letters = []
     for token in text.split():
-        kind = None
-        for prefix in ("cap", "cup", "x", "e"):
-            if token.startswith(prefix):
-                kind = prefix
-                body = token[len(prefix) :]
-                break
+        kind = next((p for p in _SUFFIXES if token.startswith(p)), None)
         if kind is None:
             raise DomainError(f"bad diagram letter {token!r}")
-        suffix = ""
-        while body and body[-1] in "'<>":
-            suffix = body[-1] + suffix
-            body = body[:-1]
+        body = token[len(kind) :]
+        suffix = body[-1:] if body[-1:] in ("'", "<", ">") else ""
+        body = body[: len(body) - len(suffix)]
         if not body.isdecimal() or len(body) > 9:  # as in parse_generator_word
             raise DomainError(f"bad diagram letter {token!r}")
+        if suffix not in _SUFFIXES[kind]:
+            if kind == "cup":
+                raise DomainError(f"cup needs an orientation suffix: {token!r}")
+            raise DomainError(f"bad suffix on diagram letter {token!r}")
         idx = int(body) - 1
         if kind == "x":
-            letters.append(Crossing(idx, positive=("'" not in suffix)))
+            letters.append(Crossing(idx, positive=not suffix))
         elif kind == "e":
             letters.append(Ladder(idx))
         elif kind == "cap":
             letters.append(Cap(idx))
         else:
-            if suffix == "<":
-                letters.append(Cup(idx, "+-"))
-            elif suffix == ">":
-                letters.append(Cup(idx, "-+"))
-            else:
-                raise DomainError(f"cup needs an orientation suffix: {token!r}")
+            letters.append(Cup(idx, "+-" if suffix == "<" else "-+"))
     return letters
 
 

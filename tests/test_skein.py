@@ -1,11 +1,13 @@
 """Diagram words, straightening, bending, and hom-space operations."""
 
+import itertools
 import random
 
 import pytest
 
 from skeinhc.errors import DomainError
 from skeinhc.hecke_clifford import (
+    AlgebraElement,
     e_element,
     identity_element,
     multiply,
@@ -247,15 +249,42 @@ def test_tensor_is_bilinear(left, right):
         assert a.tensor(b) == expected
 
 
-def test_bend_unbend_round_trip():
+def _small_hom_pairs():
+    """Every pair with at most 4 boundary points and a sorted target (this
+    includes +/++- and ++-/+)."""
+    sigs = ["".join(p) for n in range(5) for p in itertools.product("+-", repeat=n)]
+    return [
+        (s1, s2)
+        for s1 in sigs
+        for s2 in sigs
+        if len(s1) + len(s2) <= 4
+        and (len(s1) + len(s2)) % 2 == 0
+        and s2 == "+" * s2.count("+") + "-" * s2.count("-")
+        and s1.count("+") - s1.count("-") == s2.count("+") - s2.count("-")
+    ]
+
+
+ROUND_TRIP_PAIRS = (
+    _small_hom_pairs()
+    + [("++-", "++-"), ("+-+", "++-"), ("-++", "++-"), ("+++-", "+++-")]
+)
+
+
+@pytest.mark.parametrize(
+    "s1, s2", ROUND_TRIP_PAIRS, ids=[f"{a or 'empty'}/{b or 'empty'}" for a, b in ROUND_TRIP_PAIRS]
+)
+def test_bend_unbend_round_trip(s1, s2):
     rng = random.Random(1)
     f = QIQ
-    for s1, s2 in (("+-", "+-"), ("++", "++"), ("+--", "-")):
-        keys = basis_indices(s1, s2)
-        for _ in range(17):
-            coeffs = {k: f.q ** rng.randint(-2, 2) for k in rng.sample(keys, 2)}
-            h = HomElement(s1, s2, coeffs)
-            assert HomElement.unbend(h.bend(), s1, s2) == h
+    keys = basis_indices(s1, s2)
+    m = (len(s1) + len(s2)) // 2
+    for _ in range(5):
+        sample = rng.sample(keys, min(3, len(keys)))
+        h = HomElement(s1, s2, {k: f.q ** rng.randint(-2, 2) for k in sample})
+        assert HomElement.unbend(h.bend(), s1, s2) == h
+        # solves C*x = y exactly, for y not built by bend
+        x = AlgebraElement(m, "even", {k: f.q ** rng.randint(-2, 2) for k in sample}, f)
+        assert HomElement.unbend(x, s1, s2).bend() == x
 
 
 def test_bend_identity_golden():
@@ -382,10 +411,19 @@ def test_grammar_round_trip():
     text = "x1 x2' e1 cup2< cap2 cup1> cap1"
     letters = parse_diagram_word(text)
     assert format_diagram_word(letters) == text
+    assert parse_diagram_word("cap2< cap2>") == [Cap(1), Cap(1)]
     with pytest.raises(DomainError):
         parse_diagram_word("cup2")
     with pytest.raises(DomainError):
         parse_diagram_word("y3")
+
+
+@pytest.mark.parametrize(
+    "word", ["e2'", "x1''", "x1<", "x1>", "e1>", "e1<", "cap1'", "cap1<<", "cup1'", "cup1<>"]
+)
+def test_grammar_rejects_bad_suffixes(word):
+    with pytest.raises(DomainError):
+        parse_diagram_word(word)
 
 
 def test_hom_json_round_trip():
