@@ -2,13 +2,15 @@
 
 A diagram word is a bottom-to-top sequence of letters acting on a running
 boundary signature over {+,-}: crossings and ladders on adjacent upward
-strands, and caps/cups in either orientation.  Words are evaluated to exact
-coordinates over the bent basis of the hom space: a morphism s1 -> s2 is
-stored by its image in the n-strand even algebra, n = (|s1| + |s2|)/2, under
-a fixed bending that rotates every '-' boundary point around the right-hand
-side of the diagram (rightmost first, sweeping over what it crosses).
+strands, and caps/cups in either orientation.  A morphism s1 -> s2 is stored
+by its bent element: its exact image in the n-strand even algebra,
+n = (|s1| + |s2|)/2, under a fixed bending that rotates every '-' boundary
+point around the right-hand side of the diagram (rightmost first, sweeping
+over what it crosses).  Coordinates over the hom basis are derived by a
+solve, run only where they are read: `coeffs`, and the boxes that `compose`
+and `tensor` apply.
 
-The letter actions in bent coordinates are exact braid multiplications plus
+The letter actions on bent elements are exact braid multiplications plus
 partial closures; the zig-zag, loop, and curl identities pin the convention
 and are enforced by the test suite.  Interleaved signatures are supported as
 sources and as stored boundaries; composition and tensor product require the
@@ -93,11 +95,11 @@ def _charge(sig: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The evaluation state: running signature plus bent coordinates.
+# The evaluation state: running signature plus bent element.
 
 
 class _State:
-    """sig: the running boundary; terms: the bent coordinates as an
+    """sig: the running boundary; terms: the bent element as an
     even-variant term dict over m = (#inputs) strands; p1: number of '+'
     in the original source.
 
@@ -265,8 +267,8 @@ def _pos_of_rank(state: _State, r: int) -> int:
 # ---------------------------------------------------------------------------
 # The hom-space basis: each index (w, emask) names the diagram obtained by
 # boxing h_w e_s between cups feeding its trailing inputs and caps returning
-# its trailing outputs to the source minuses.  Its bent coordinates are
-# computed once per signature pair; on +^n <-> +^n the matrix is the identity.
+# its trailing outputs to the source minuses.  Its bent element (a column of
+# C) is computed once per signature pair; on +^n <-> +^n C is the identity.
 
 
 def _is_plus_pair(source: str, target: str) -> bool:
@@ -320,12 +322,12 @@ def _coords_to_algebra(coeffs: dict, source: str, target: str, field) -> dict:
     return out
 
 
-def _algebra_to_coords(terms: dict, source: str, target: str, field) -> dict:
-    """Solve C*x = terms: forward through L, then back through U."""
-    if _is_plus_pair(source, target):
-        return dict(terms)
-    factor = _change_of_basis(source, target, field)[1]
-    y = dict(terms)
+def _algebra_to_coords(x: AlgebraElement, source: str, target: str) -> dict:
+    """Solve C*coords = x: forward through L, then back through U."""
+    y = dict(x.terms)
+    if not y or _is_plus_pair(source, target):
+        return y
+    factor = _change_of_basis(source, target, x.field)[1]
     for key, _, l_col, _ in factor:
         c = y.get(key)
         if c is not None:
@@ -333,7 +335,7 @@ def _algebra_to_coords(terms: dict, source: str, target: str, field) -> dict:
                 _add_term(y, akey, -v * c)
     out: dict = {}
     for key, inv, _, u_row in reversed(factor):
-        c = y.get(key, field.zero)
+        c = y.get(key, x.field.zero)
         for j, u in u_row.items():
             if j in out:
                 c = c - u * out[j]
@@ -343,49 +345,54 @@ def _algebra_to_coords(terms: dict, source: str, target: str, field) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# HomElement: exact coordinates over the bent basis.
+# HomElement: the bent element, with basis coordinates as a derived view.
 
 
 class HomElement:
-    """A morphism s1 -> s2, stored by bent coordinates over the basis indexed
-    by (permutation, ladder mask) of the even algebra on (|s1|+|s2|)/2 strands.
+    """A morphism s1 -> s2, stored by its bent element: its image in the even
+    algebra on (|s1|+|s2|)/2 strands.  Built from coordinates over the basis
+    indexed by (permutation, ladder mask), which `coeffs` solves back for.
     """
 
-    __slots__ = ("source", "target", "coeffs", "field")
+    __slots__ = ("source", "target", "field", "_bent")
 
     def __init__(self, source: str, target: str, coeffs=None, field=QIQ):
         self.source = _check_signature(source)
         self.target = _check_signature(target)
         self.field = field
-        if _charge(source) != _charge(target):
-            if coeffs:
-                raise DomainError("nonzero element of a zero hom space")
-            self.coeffs = {}
-            return
-        self.coeffs = {}
+        terms = {}
         if coeffs:
-            for key, c in coeffs.items():
-                if not c.is_zero:
-                    self.coeffs[key] = c
+            if _charge(source) != _charge(target):
+                raise DomainError("nonzero element of a zero hom space")
+            terms = _coords_to_algebra(coeffs, source, target, field)
+        self._bent = AlgebraElement(self.strand_count, "even", terms, field)
 
     @property
     def strand_count(self) -> int:
         return (len(self.source) + len(self.target)) // 2
+
+    @property
+    def coeffs(self) -> dict:
+        """Coordinates over the hom basis: the solve C x = bend()."""
+        return _algebra_to_coords(self._bent, self.source, self.target)
 
     def bend(self) -> AlgebraElement:
         """The element of the even algebra carrying this morphism under the
         fixed bending isomorphism of the hom space."""
         if _charge(self.source) != _charge(self.target):
             raise DomainError("zero hom space has no bent coordinates")
-        terms = _coords_to_algebra(self.coeffs, self.source, self.target, self.field)
-        return AlgebraElement(self.strand_count, "even", terms, self.field)
+        return self._bent
 
     @classmethod
     def unbend(cls, x: AlgebraElement, source: str, target: str) -> "HomElement":
-        if x.n != (len(source) + len(target)) // 2:
+        hom = cls(source, target, field=x.field)
+        if x.n != hom.strand_count:
             raise DomainError("strand count does not match the signatures")
-        coeffs = _algebra_to_coords(dict(x.terms), source, target, x.field)
-        return cls(source, target, coeffs, x.field)
+        if not x.is_zero:
+            if _charge(source) != _charge(target) or "-+" in target:
+                raise DomainError("nonzero x on a zero hom space or an unsorted target")
+            hom._bent = x
+        return hom
 
     # -- linear structure -----------------------------------------------------
     def _compat(self, other: "HomElement"):
@@ -394,21 +401,13 @@ class HomElement:
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            _add_term(out, key, c)
-        return HomElement(self.source, self.target, out, self.field)
+        return HomElement.unbend(self._bent + other._bent, self.source, self.target)
 
     def __sub__(self, other):
         return self + other.scale(-self.field.one)
 
     def scale(self, c) -> "HomElement":
-        return HomElement(
-            self.source,
-            self.target,
-            {k: v * c for k, v in self.coeffs.items()},
-            self.field,
-        )
+        return HomElement.unbend(self._bent.scale(c), self.source, self.target)
 
     def __eq__(self, other):
         if not isinstance(other, HomElement):
@@ -416,20 +415,20 @@ class HomElement:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.coeffs == other.coeffs
+            and self._bent == other._bent
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, frozenset(self.coeffs.items())))
+        return hash((self.source, self.target, self._bent))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._bent.is_zero
 
     def equals(self, other: "HomElement") -> bool:
-        """Exact coordinate comparison (signatures must agree)."""
+        """Exact comparison (signatures must agree) of the bent elements."""
         self._compat(other)
-        return self.coeffs == other.coeffs
+        return self._bent == other._bent
 
     # -- categorical structure -------------------------------------------------
     def compose(self, other: "HomElement") -> "HomElement":
@@ -444,8 +443,7 @@ class HomElement:
         _apply_hom_word(state, other.coeffs, self.target, other.target, 0)
         if "".join(state.sig) != _sorted_sig(other.target):
             raise DomainError("composition left an unexpected boundary")
-        coeffs = _algebra_to_coords(state.terms, self.source, other.target, self.field)
-        return HomElement(self.source, other.target, coeffs, self.field)
+        return HomElement.unbend(state.x, self.source, other.target)
 
     def tensor(self, other: "HomElement") -> "HomElement":
         src = self.source + other.source
@@ -459,24 +457,18 @@ class HomElement:
         )
         if "".join(state.sig) != _sorted_sig(self.target) + _sorted_sig(other.target):
             raise DomainError("tensor left an unexpected boundary")
-        coeffs = _algebra_to_coords(state.terms, src, tgt, self.field)
-        return HomElement(src, tgt, coeffs, self.field)
+        return HomElement.unbend(state.x, src, tgt)
 
     def rotate_180(self) -> "HomElement":
         """The fixed contravariant duality Hom(s1->s2) -> Hom(s2->s1): the
-        rotation anti-automorphism applied to the bent coordinates."""
-        if _charge(self.source) != _charge(self.target):
-            return HomElement(self.target, self.source, {}, self.field)
-        return HomElement.unbend(theta(self.bend()), self.target, self.source)
+        rotation anti-automorphism applied to the bent element."""
+        return HomElement.unbend(theta(self._bent), self.target, self.source)
 
     def __repr__(self):
-        return (
-            f"HomElement({self.source!r} -> {self.target!r}, "
-            f"{len(self.coeffs)} terms)"
-        )
+        return f"HomElement({self.source!r} -> {self.target!r}, {self._bent!r})"
 
     def __str__(self):
-        return str(self.bend()) if self.coeffs else "0"
+        return str(self._bent)
 
 
 def _sorted_sig(sig: str) -> str:
@@ -484,8 +476,7 @@ def _sorted_sig(sig: str) -> str:
 
 
 def identity_hom(sig: str, field=QIQ) -> HomElement:
-    """The identity morphism; its bent coordinates are the algebra unit."""
-    _check_signature(sig)
+    """The identity morphism; its bent element is the algebra unit."""
     return HomElement.unbend(identity_element(len(sig), "even", field), sig, sig)
 
 
@@ -519,8 +510,7 @@ def evaluate(letters, source: str, field=QIQ) -> HomElement:
             f"word ends on the non-sorted boundary {target!r}; coordinates "
             "need a sorted boundary (cap the open pairs or reorder)"
         )
-    coeffs = _algebra_to_coords(dict(state.x.terms), source, target, field)
-    return HomElement(source, target, coeffs, field)
+    return HomElement.unbend(state.x, source, target)
 
 
 def straighten(letters, n: int, field=QIQ) -> AlgebraElement:
@@ -722,7 +712,7 @@ def hom_to_json(hom: HomElement) -> str:
         {
             "source": hom.source,
             "target": hom.target,
-            "terms": term_list(hom.bend()) if hom.coeffs else [],
+            "terms": [] if hom.is_zero else term_list(hom.bend()),
         },
         sort_keys=True,
     )
@@ -730,14 +720,17 @@ def hom_to_json(hom: HomElement) -> str:
 
 def hom_from_json(text: str, field=QIQ) -> HomElement:
     data = json.loads(text)
+    m = (len(data["source"]) + len(data["target"])) // 2
     terms = {}
     for item in data["terms"]:
-        w = tuple(x - 1 for x in item["w"])
-        emask = sum(1 << k for k, c in enumerate(item["s"]) if c == "1")
-        terms[(w, emask)] = parse_scalar(item["coeff"])
-    if not terms:
-        return HomElement(data["source"], data["target"], {}, field)
-    m = (len(data["source"]) + len(data["target"])) // 2
+        w, s = item["w"], item["s"]
+        if sorted(w) != list(range(1, m + 1)) or any(type(x) is not int for x in w):
+            raise DomainError(f"term w={w!r} is not a permutation of 1..{m}")
+        if not isinstance(s, str) or len(s) > max(0, m - 1) or s.strip("01"):
+            raise DomainError(f"term s={s!r} is not a ladder mask on {m} strands")
+        key = (tuple(x - 1 for x in w), int(s[::-1] or "0", 2))
+        if key in terms:
+            raise DomainError(f"duplicate term w={w!r} s={s!r}")
+        terms[key] = parse_scalar(item["coeff"])
     bent = AlgebraElement(m, "even", terms, field)
     return HomElement.unbend(bent, data["source"], data["target"])
-
