@@ -1,0 +1,155 @@
+"""Direct timing of ScalarQ products, sums and negations, for a
+BENCH_*.json entry.
+
+    python3 bench/scalars.py --out BENCH_x.json [--key scalars/direct]
+
+Run from the root of a checkout; the package is imported from ./src, so the
+same script times any checkout that has the private helpers it reads
+(``_canonical``, ``_gmul``, ``_comb``, ``_right_action``).  The operand mix
+is fixed and seeded:
+
+* action coefficients: every coefficient of the ``_right_action`` rows of
+  t_j, t_j^(-1) and e_j on the even basis of 4 strands (mostly 1 and -1);
+* state coefficients: the coefficients of ``normalize`` of random t and e
+  words on 4 strands (Laurent polynomials over Z[i] over q^k);
+* non-Laurent values, one in twenty states: Markov traces of random words,
+  whose denominators are powers of q^2 - 1, the loop value and 1/(2q).
+
+Products are state times action coefficient, as in the even action; sums
+add a product to another state; negations negate each product.  Each list is
+timed REPEATS times and the fastest run is kept.  Every result is then
+compared with ``_canonical`` applied to the unreduced parts; the script
+exits 1 on any mismatch.  The entry is merged into --out under --key;
+other keys in the file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path("src").resolve()))
+
+from skeinhc.hecke_clifford import _right_action, all_perms, normalize  # noqa: E402
+from skeinhc.scalars import (  # noqa: E402
+    QIQ,
+    ScalarQ,
+    _canonical,
+    _comb,
+    _gmul,
+    loop_value,
+)
+from skeinhc.trace_gram import markov_trace  # noqa: E402
+
+STRANDS = 4
+WORDS = 40
+WORD_LENGTH = 6
+OPERATIONS = 20_000
+REPEATS = 5
+
+
+def random_word(rng) -> list:
+    letters = []
+    for _ in range(WORD_LENGTH):
+        j = rng.randrange(STRANDS - 1)
+        kind = rng.choice("tte")
+        letters.append(("t", j, rng.choice((1, -1))) if kind == "t" else ("e", j))
+    return letters
+
+
+def operands(rng) -> tuple:
+    actions = [
+        c
+        for w in all_perms(STRANDS)
+        for s in range(1 << (STRANDS - 1))
+        for j in range(STRANDS - 1)
+        for letter in (("t", j), ("t", j, -1), ("e", j))
+        for _key, c in _right_action(w, s, letter, QIQ)
+    ]
+    words = [random_word(rng) for _ in range(WORDS)]
+    states = [c for word in words for c in normalize(word, STRANDS).terms.values()]
+    others = [markov_trace(normalize(random_word(rng), STRANDS)) for _ in range(8)]
+    others += [loop_value(), ScalarQ(1) / (2 * QIQ.q)]
+    for k in range(0, len(states), 20):
+        states[k] = others[k // 20 % len(others)]
+    return actions, states
+
+
+def is_laurent(x: ScalarQ) -> bool:
+    """Whether x's denominator is q^k (checkouts before the Laurent fast
+    path have no ``scalars._is_laurent``)."""
+    dr, di = x._parts[2:]
+    return not di and dr[-1] == 1 and dr.count(0) == len(dr) - 1
+
+
+def fastest(fn) -> tuple:
+    best, value = float("inf"), None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - start)
+    return value, best
+
+
+def unreduced(op: str, a: ScalarQ, b: ScalarQ | None) -> tuple:
+    """The parts of the result of op before any reduction."""
+    nr, ni, dr, di = a._parts
+    if op == "neg":
+        return _comb(-1, nr, 0, ()), _comb(-1, ni, 0, ()), dr, di
+    onr, oni, odr, odi = b._parts
+    den = _gmul(dr, di, odr, odi)
+    if op == "mul":
+        return (*_gmul(nr, ni, onr, oni), *den)
+    (ar, ai), (br, bi) = _gmul(nr, ni, odr, odi), _gmul(onr, oni, dr, di)
+    return _comb(1, ar, 1, br), _comb(1, ai, 1, bi), *den
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--key", default="scalars/direct")
+    args = parser.parse_args()
+
+    rng = random.Random(13)
+    actions, states = operands(rng)
+    pairs = [(rng.choice(states), rng.choice(actions)) for _ in range(OPERATIONS)]
+    products, mul_s = fastest(lambda: [a * b for a, b in pairs])
+    addends = [(p, rng.choice(states)) for p in products]
+    sums, add_s = fastest(lambda: [a + b for a, b in addends])
+    negations, neg_s = fastest(lambda: [-a for a in products])
+
+    checks = [("mul", pairs, products), ("add", addends, sums),
+              ("neg", [(a, None) for a in products], negations)]
+    mismatches = sum(
+        result._parts != _canonical(*unreduced(op, a, b))
+        for op, operand_pairs, results in checks
+        for (a, b), result in zip(operand_pairs, results)
+    )
+    units = sum(c in (1, -1) for c in actions)
+    laurent = sum(is_laurent(s) for s in states)
+    entry = {
+        "layer": "scalar arithmetic",
+        "operands": {"action_coefficients": len(actions), "unit_actions": units,
+                     "states": len(states), "laurent_states": laurent},
+        "products": {"ops": len(pairs), "seconds": mul_s},
+        "sums": {"ops": len(addends), "seconds": add_s},
+        "negations": {"ops": len(products), "seconds": neg_s},
+        "mismatches": mismatches,
+    }
+    print(json.dumps(entry), file=sys.stderr)
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.key] = entry
+    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    if mismatches:
+        print(f"{mismatches} results differ from _canonical", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -7,6 +7,10 @@ Three layers:
 * :class:`ScalarQ` -- rational functions in the variable q over Q(i),
   stored on ints as a reduced fraction of dense polynomials over Z[i] in
   a canonical form, so structural equality coincides with equality of values.
+  Results that are canonical by construction skip `_canonical`: a product
+  by 1 or -1 and a negation (the negated numerator keeps the denominator
+  and its positive integer lead), and products and sums of Laurent values
+  (denominator q^k), where only a common power of q can cancel.
 * :class:`CyclotomicValue` -- elements of Q(zeta_m) as an integer vector
   modulo the m-th cyclotomic polynomial over one positive integer
   denominator.  The specialization points of interest send q to the
@@ -107,8 +111,8 @@ class GaussianRational:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes like the equal Fraction or int
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -274,6 +278,23 @@ def _canonical(nr, ni, dr, di) -> tuple:
     return nr, ni, dr, di
 
 
+def _is_laurent(dr: tuple, di: tuple) -> bool:
+    """Whether the canonical denominator dr + i*di is q^k, lead 1."""
+    return not di and dr[-1] == 1 and dr.count(0) == len(dr) - 1
+
+
+def _laurent(nr: tuple, ni: tuple, k: int) -> tuple:
+    """The canonical form of (nr + i*ni)/q^k for trimmed nr and ni.  Only a
+    common power of q can cancel, and the lead 1 keeps the content 1, so
+    this strips the shift `_canonical` would and skips the rest (a zero
+    numerator strips all of q^k)."""
+    shift = min(_low(nr), _low(ni), k)
+    return nr[shift:], ni[shift:], (0,) * (k - shift) + (1,), ()
+
+
+_PLUS_ONE, _MINUS_ONE = ((1,), (), (1,), ()), ((-1,), (), (1,), ())
+
+
 class ScalarQ:
     """A rational function in q over Q(i), kept in reduced normal form.
 
@@ -312,6 +333,11 @@ class ScalarQ:
     def __add__(self, other, sign=1):
         nr, ni, dr, di = self._parts
         onr, oni, odr, odi = _scalar(other)._parts
+        if _is_laurent(dr, di) and _is_laurent(odr, odi):  # over q^max(k)
+            pad, opad = (0,) * (len(odr) - len(dr)), (0,) * (len(dr) - len(odr))
+            re = _comb(1, pad + nr, sign, opad + onr)
+            im = _comb(1, pad + ni, sign, opad + oni)
+            return _new(_laurent(re, im, max(len(dr), len(odr)) - 1))
         if dr == odr and di == odi:
             num = _comb(1, nr, sign, onr), _comb(1, ni, sign, oni)
             return ScalarQ(_parts=(*num, dr, di))
@@ -330,11 +356,18 @@ class ScalarQ:
 
     def __mul__(self, other, invert=False):
         nr, ni, dr, di = self._parts
-        onr, oni, odr, odi = _scalar(other)._parts
+        other = _scalar(other)
+        if other._parts == _PLUS_ONE:  # 1 and -1 are their own inverses
+            return self
+        if other._parts == _MINUS_ONE:
+            return -self
+        onr, oni, odr, odi = other._parts
         if invert:
             if not (onr or oni):
                 raise DomainError("division by zero scalar")
             onr, oni, odr, odi = odr, odi, onr, oni
+        if _is_laurent(dr, di) and _is_laurent(odr, odi):
+            return _new(_laurent(*_gmul(nr, ni, onr, oni), len(dr) + len(odr) - 2))
         return ScalarQ(_parts=(*_gmul(nr, ni, onr, oni), *_gmul(dr, di, odr, odi)))
 
     __rmul__ = __mul__
@@ -347,8 +380,7 @@ class ScalarQ:
 
     def __neg__(self):
         nr, ni, dr, di = self._parts
-        neg = (_comb(-1, nr, 0, ()), _comb(-1, ni, 0, ()))
-        return ScalarQ(_parts=(*neg, dr, di))
+        return _new((tuple([-c for c in nr]), tuple([-c for c in ni]), dr, di))
 
     def __pow__(self, k: int):
         return _power(self, k, ONE)
@@ -364,8 +396,14 @@ class ScalarQ:
             return NotImplemented
         return self._parts == other._parts
 
-    def __hash__(self):
-        return hash(self._parts)
+    def __hash__(self):  # a constant hashes like the equal GaussianRational
+        nr, ni, dr, _ = self._parts
+        if len(dr) > 1 or len(nr) > 1 or len(ni) > 1:
+            return hash(self._parts)
+        re, im = nr[0] if nr else 0, ni[0] if ni else 0
+        if dr[0] != 1:
+            re, im = Fraction(re, dr[0]), Fraction(im, dr[0])
+        return hash((re, im)) if im else hash(re)
 
     def __bool__(self):
         return bool(self._parts[0] or self._parts[1])
@@ -418,6 +456,13 @@ def _power(x, k: int, one):
         x = x * x
         k >>= 1
     return out
+
+
+def _new(parts: tuple) -> ScalarQ:
+    """A ScalarQ on parts already in the form of `_canonical`."""
+    x = object.__new__(ScalarQ)
+    x._parts = parts
+    return x
 
 
 def _scalar(x) -> ScalarQ:
@@ -620,8 +665,10 @@ class CyclotomicValue:
             return NotImplemented
         return (self.order, self.num, self.den) == (other.order, other.num, other.den)
 
-    def __hash__(self):
-        return hash((self.order, self.num, self.den))
+    def __hash__(self):  # a rational value hashes like the equal Fraction or int
+        if any(self.num[1:]):
+            return hash((self.order, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den))
 
     def __bool__(self):
         return any(self.num)

@@ -719,12 +719,25 @@ def hom_to_json(hom: HomElement) -> str:
 
 
 def hom_from_json(text: str, field=QIQ) -> HomElement:
-    data = json.loads(text)
-    m = (len(data["source"]) + len(data["target"])) // 2
+    """Read hom_to_json's output; any malformed input raises DomainError."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise DomainError(f"hom element is not JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+        raise DomainError("hom element JSON needs an object with a 'terms' list")
+    source, target = data.get("source"), data.get("target")
+    if not (isinstance(source, str) and isinstance(target, str)):
+        raise DomainError("hom element JSON needs 'source' and 'target' strings")
+    m = (len(source) + len(target)) // 2
     terms = {}
     for item in data["terms"]:
-        w, s = item["w"], item["s"]
-        if sorted(w) != list(range(1, m + 1)) or any(type(x) is not int for x in w):
+        if not isinstance(item, dict) or not isinstance(item.get("coeff"), str):
+            raise DomainError(f"term {item!r} needs a 'coeff' string")
+        w, s = item.get("w"), item.get("s")
+        if not isinstance(w, list) or any(type(x) is not int for x in w) or (
+            sorted(w) != list(range(1, m + 1))
+        ):
             raise DomainError(f"term w={w!r} is not a permutation of 1..{m}")
         if not isinstance(s, str) or len(s) > max(0, m - 1) or s.strip("01"):
             raise DomainError(f"term s={s!r} is not a ladder mask on {m} strands")
@@ -733,4 +746,4 @@ def hom_from_json(text: str, field=QIQ) -> HomElement:
             raise DomainError(f"duplicate term w={w!r} s={s!r}")
         terms[key] = parse_scalar(item["coeff"])
     bent = AlgebraElement(m, "even", terms, field)
-    return HomElement.unbend(bent, data["source"], data["target"])
+    return HomElement.unbend(bent, source, target)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import skeinhc
-from skeinhc.cli import _build_parser, main
+from skeinhc.cli import MAX_WORD_STRANDS, _build_parser, main
 from skeinhc.verify import SUITES
 
 
@@ -128,6 +128,18 @@ def test_negative_strand_count_is_a_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: strand count must be nonnegative")
+
+
+@pytest.mark.parametrize("command", ["trace", "normalize"])
+def test_strand_count_work_bound(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--n", "99999", "--word", "t1")
+    assert time.perf_counter() - start < 1  # refused before any work
+    assert code == 2 and out == ""
+    limit = MAX_WORD_STRANDS
+    assert err == f"error: {command} needs 99999 strands, over the limit {limit}\n"
+    code, _, _ = run(capsys, command, "--n", str(MAX_WORD_STRANDS), "--word", "t1")
+    assert code == 0
 
 
 def test_zero_strands_unchanged(capsys):

@@ -1,5 +1,6 @@
 """Exact arithmetic: normalization, specialization, parsing."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from skeinhc.scalars import (
     q_power,
     specialize,
 )
+from skeinhc.scalars import _canonical, _comb, _gmul, _trim
 
 Z = QIQ.z
 
@@ -152,3 +154,69 @@ def test_parse_grammar():
         parse_scalar("q +")
     with pytest.raises(DomainError):
         parse_scalar("2 ** 3")
+
+
+def _random_value(rng, kind) -> ScalarQ:
+    """A value of one kind, built by `_canonical` from unreduced parts."""
+    poly = lambda: _trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+    if kind == "unit":
+        return rng.choice([ONE, -ONE, I, -I])
+    if kind == "zero":
+        return ZERO
+    if kind == "laurent":  # Gaussian numerator over q^k, sometimes q^0
+        return ScalarQ(_parts=(poly(), poly(), (0,) * rng.randint(0, 3) + (1,), ()))
+    if kind == "half-over-q":  # a monomial denominator with lead 2
+        return ScalarQ(_parts=((1,), (), (0, 2), ()))
+    if kind == "loop":
+        return loop_value()
+    return ScalarQ(_parts=(poly(), poly(), (1, 0, -2, 0, 1), ()))  # over (q^2 - 1)^2
+
+
+KINDS = ["unit", "zero", "laurent", "laurent", "laurent", "half-over-q", "loop", "gram"]
+
+
+def test_fast_paths_match_the_canonical_oracle():
+    rng = random.Random(13)
+    values = [_random_value(rng, kind) for kind in KINDS * 3]
+    points = [GaussianRational(Fraction(3, 2)), GaussianRational(Fraction(-5, 7))]
+    for a in values:
+        nr, ni, dr, di = a._parts
+        assert a._parts == _canonical(*a._parts)
+        negated = _canonical(_comb(-1, nr, 0, ()), _comb(-1, ni, 0, ()), dr, di)
+        assert (-a)._parts == (a * -1)._parts == (a / -ONE)._parts == negated
+        assert (a * 1)._parts == (a / ONE)._parts == a._parts
+        assert all((-a).eval_at(x) == -a.eval_at(x) for x in points)
+    for a, b in itertools.product(values, repeat=2):
+        (nr, ni, dr, di), (onr, oni, odr, odi) = a._parts, b._parts
+        (ar, ai), (br, bi) = _gmul(nr, ni, odr, odi), _gmul(onr, oni, dr, di)
+        den = _gmul(dr, di, odr, odi)
+        plus = _comb(1, ar, 1, br), _comb(1, ai, 1, bi)
+        minus = _comb(1, ar, -1, br), _comb(1, ai, -1, bi)
+        assert (a * b)._parts == _canonical(*_gmul(nr, ni, onr, oni), *den)
+        assert (a + b)._parts == _canonical(*plus, *den)
+        assert (a - b)._parts == _canonical(*minus, *den)
+        if b:
+            assert (a / b)._parts == _canonical(ar, ai, *_gmul(dr, di, onr, oni))
+        for x in points:
+            va, vb = a.eval_at(x), b.eval_at(x)
+            assert (a * b).eval_at(x) == va * vb
+            assert (a + b).eval_at(x) == va + vb
+            assert (a - b).eval_at(x) == va - vb
+            assert not b or (a / b).eval_at(x) == va / vb
+
+
+def test_hash_agrees_with_equality():
+    half = Fraction(1, 2)
+    one_cases = [ScalarQ(1), (Q * Q - 1) / (Q * Q - 1), GaussianRational(1),
+                 Fraction(1), CyclotomicValue(8, [1]), CyclotomicValue(12, [1])]
+    assert {1, *one_cases} == {1}
+    halves = [ScalarQ(half), GaussianRational(half), CyclotomicValue(12, [half])]
+    assert {half, *halves} == {half}
+    assert {I, GaussianRational(0, 1)} == {I}
+    assert {0, ZERO, GaussianRational(0), CyclotomicValue(8, [])} == {0}
+    table = {1: "one", half: "half", GaussianRational(0, 1): "i"}
+    assert table[ScalarQ(1)] == table[GaussianRational(1)] == "one"
+    assert table[CyclotomicValue(8, [1])] == "one"
+    assert table[ScalarQ(half)] == table[CyclotomicValue(12, [half])] == "half"
+    assert table[I] == "i"
+    assert Q not in table and CyclotomicValue(8, [0, 1]) not in table

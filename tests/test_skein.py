@@ -472,3 +472,23 @@ def test_hom_from_json_rejects_malformed_terms(terms):
     text = json.dumps({"source": "++", "target": "++", "terms": terms})
     with pytest.raises(DomainError):
         hom_from_json(text)
+
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"source": "++", "target": "++"}',
+        '{"source": "++", "target": "++", "terms": [{"w": [2, 1], "s": "0"}]}',
+        "[1]",
+        '{"source": 2, "target": "++", "terms": []}',
+        '{"source": "++", "target": "++", "terms": [{"w": [2, 1], "s": "0", "coeff": 3}]}',
+        '{"source": "++", "target": "++",'
+        ' "terms": [{"w": ["a", 1], "s": "0", "coeff": "1"}]}',
+        "not json",
+    ],
+    ids=["no-terms", "no-coeff", "list", "int-source", "int-coeff", "str-in-w", "not-json"],
+)
+def test_hom_from_json_rejects_malformed_structure(text):
+    with pytest.raises(DomainError):
+        hom_from_json(text)
