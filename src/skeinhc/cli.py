@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from math import comb, prod
 
 from .combinatorics import (
     as_diagram,
@@ -34,6 +35,12 @@ __all__ = ["main"]
 # Work bound of normalize and trace: a one-letter word's trace takes about
 # 0.6 s at 128 strands, 1 s at 160 and 9 s at 320.
 MAX_WORD_STRANDS = 128
+# Work bounds of tableaux and paths, which recurse once per box (400 boxes
+# overflowed the stack) and memoise one state per tuple of sub-diagrams of
+# their shapes, at most C(rows + columns, rows) each, at about 40 us a state.
+MAX_SHAPE_BOXES = 200
+MAX_SHAPE_STATES = 20_000  # 0.6 s for the 12,870 of an 8 x 8 square
+MAX_DECOMPOSE_N = 16  # 2^(N-2) diagrams: 1 s at N = 16, 4 s at 18, 18 s at 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,6 +112,21 @@ def _parse_shape(text: str):
         raise DomainError(str(exc))
 
 
+def _refuse_over(limit: int, value: int, needs: str):
+    """Refuse a command before any work when value exceeds its work bound."""
+    if value > limit:
+        raise DomainError(f"{needs}, over the limit {limit}")
+
+
+def _check_shapes(command: str, *shapes):
+    """Refuse shapes beyond the work bounds of tableaux and paths."""
+    boxes = sum(map(sum, shapes))
+    _refuse_over(MAX_SHAPE_BOXES, boxes, f"{command} needs {boxes} boxes")
+    # the sub-diagrams of a shape fit in its bounding rectangle
+    states = prod(comb(len(lam) + lam[0], len(lam)) for lam in shapes if lam)
+    _refuse_over(MAX_SHAPE_STATES, states, f"{command} may visit {states} states")
+
+
 def _perm_string(w) -> str:
     return "[" + ",".join(str(x + 1) for x in w) + "]"
 
@@ -126,6 +148,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _refuse_over(MAX_DECOMPOSE_N, args.N, f"decompose needs N = {args.N}")
     parity = "even" if args.object == "A" else "odd"
     rows = [
         {
@@ -154,9 +177,13 @@ def _cmd_tableaux(args) -> int:
     if args.mu is not None or args.lam is not None:
         if args.mu is None or args.lam is None:
             raise DomainError("pair counts need both --mu and --lam")
-        print(count_pair_tableaux(_parse_shape(args.mu), _parse_shape(args.lam)))
+        mu, lam = _parse_shape(args.mu), _parse_shape(args.lam)
+        _check_shapes("tableaux", mu, lam)
+        print(count_pair_tableaux(mu, lam))
     elif args.shape is not None:
-        print(count_standard_tableaux(_parse_shape(args.shape)))
+        lam = _parse_shape(args.shape)
+        _check_shapes("tableaux", lam)
+        print(count_standard_tableaux(lam))
     else:
         raise DomainError("provide --shape or --mu/--lam")
     return 0
@@ -165,16 +192,14 @@ def _cmd_tableaux(args) -> int:
 def _cmd_paths(args) -> int:
     start = (_parse_shape(args.start_lam), _parse_shape(args.start_mu))
     end = (_parse_shape(args.end_lam), _parse_shape(args.end_mu))
+    _check_shapes("paths", end[0], start[1])  # lam grows into end[0], mu shrinks
     print(count_paths_double_young(start, end, args.length))
     return 0
 
 
 def _word_letters(args) -> list:
     """The letters of --word, refused before any work beyond MAX_WORD_STRANDS."""
-    if args.n > MAX_WORD_STRANDS:
-        raise DomainError(
-            f"{args.command} needs {args.n} strands, over the limit {MAX_WORD_STRANDS}"
-        )
+    _refuse_over(MAX_WORD_STRANDS, args.n, f"{args.command} needs {args.n} strands")
     return parse_generator_word(args.word, args.n)
 
 

@@ -103,16 +103,17 @@ def remove_box_results(lam: YoungDiagram) -> list[YoungDiagram]:
     return out
 
 
-def partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n with parts bounded by max_part."""
-    if n < 0:
+def partitions(n: int, max_part: int | None = None, max_len: int | None = None):
+    """Yield all partitions of n with parts bounded by max_part and at most
+    max_len parts, in decreasing lexicographic order."""
+    if n < 0 or (n > 0 and max_len == 0):
         return
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(n, max_part)
     for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
+        for rest in partitions(n - first, first, max_len and max_len - 1):
             yield (first,) + rest
 
 
@@ -247,17 +248,16 @@ def decompose_object(N: int, parity: str) -> list[tuple[YoungPair, tuple[int, ..
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     want = 0 if parity == "even" else 1
-    found = []
-    # hook11(mu) < N forces mu_1 <= N-1 and len(mu) <= N-1, hence |mu| bounded.
-    for n in range(0, (N - 1) * (N - 1) + 1):
-        if n % 2 != want:
-            continue
-        for mu in partitions(n, N - 1):
-            if hook11(mu) < N:
-                pair = YoungPair(mu, transpose(mu), N)
-                found.append((n, mu, pair))
-    found.sort(key=lambda t: (t[0], t[1]))
-    return [(pair, pair.weight()) for _, _, pair in found]
+    # hook11(mu) < N: below a first row of length a lie at most N - 1 - a rows
+    mus = [()] + [
+        (a,) + rest
+        for a in range(1, N)
+        for m in range(a * (N - 1 - a) + 1)
+        for rest in partitions(m, a, N - 1 - a)
+    ]
+    mus.sort(key=lambda mu: (sum(mu), mu))
+    pairs = [YoungPair(mu, transpose(mu), N) for mu in mus if sum(mu) % 2 == want]
+    return [(pair, pair.weight()) for pair in pairs]
 
 
 def dim_end_oracle(n: int) -> int:

@@ -109,39 +109,13 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _clifford_normalize(seq) -> tuple[int, int]:
-    """Reorder a product of v's with given indices into the sorted monomial.
-
-    Returns (sign, mask); repeated indices cancel in pairs (v^2 = 1).
-    """
-    sign = 1
-    mask = 0
-    for l in reversed(seq):
-        below = mask & ((1 << l) - 1)
-        if below:
-            sign *= -1 if (bin(below).count("1") & 1) else 1
-        mask ^= 1 << l
-    return sign, mask
-
-
 def _e_to_v(emask: int) -> int:
     """Expand a product of e_j = v_j v_{j+1} (lex order) into a v-monomial.
 
-    Maximal runs [a..b] of e-indices telescope to the pair v_a v_{b+1}; the
-    resulting monomial is sorted with sign +1.
+    Maximal runs [a..b] of e-indices telescope to the pair v_a v_{b+1}, so
+    the v-mask is the xor of the pairs; the sorted monomial has sign +1.
     """
-    vmask = 0
-    bits = _bits(emask)
-    k = 0
-    while k < len(bits):
-        a = bits[k]
-        b = a
-        while k + 1 < len(bits) and bits[k + 1] == b + 1:
-            k += 1
-            b += 1
-        vmask |= (1 << a) | (1 << (b + 1))
-        k += 1
-    return vmask
+    return emask ^ (emask << 1)
 
 
 def _v_to_e(vmask: int) -> int:
@@ -333,44 +307,47 @@ def _hecke_lmul(j: int, w: Perm, c, z, out: dict, key):
         _add_term(out, key(w), c * z)
 
 
-def _lmul_t(j: int, terms: dict, z, inverse: bool = False) -> dict:
-    """Left-multiply a full-variant term dict by t_j (or t_j^(-1) = t_j - z)."""
-    out: dict = {}
-    for (vmask, w), coeff in terms.items():
-        vlist = _bits(vmask)
-
-        def rec(k: int, emitted: tuple, c):
-            if k == len(vlist):
-                sign, mask = _clifford_normalize(emitted)
-                _hecke_lmul(j, w, c if sign > 0 else -c, z, out, lambda u: (mask, u))
-                return
-            l = vlist[k]
-            if l == j:
-                rec(k + 1, emitted + (j + 1,), c)
-            elif l == j + 1:
-                rec(k + 1, emitted + (j,), c)
-                rest = tuple(vlist[k + 1 :])
-                for idx, cc in ((j, -c * z), (j + 1, c * z)):
-                    sign, mask = _clifford_normalize(emitted + (idx,) + rest)
-                    _add_term(out, (mask, w), cc if sign > 0 else -cc)
-            else:
-                rec(k + 1, emitted + (l,), c)
-
-        rec(0, (), coeff)
-    if inverse:
-        for key, c in terms.items():
-            _add_term(out, key, -c * z)
-    return out
+def _t_past_clifford(j: int, s: int, field) -> tuple:
+    """t_j c_s as terms (b, r, c) meaning c c_r t_j^b (z = q - q^(-1)).
+    t_j commutes with v_l for l != j, j+1, and v_j, v_(j+1) sit side by side
+    in the sorted c_s, so only bits j and j+1 of s move."""
+    one, z = field.one, field.z
+    pair = 3 << j
+    bits = s & pair
+    if bits == pair:  # t_j v_j v_(j+1) = -v_j v_(j+1) t_j + z v_j v_(j+1) + z
+        return ((1, s, -one), (0, s, z), (0, s ^ pair, z))
+    if bits == 2 << j:  # t_j v_(j+1) = v_j t_j - z v_j + z v_(j+1)
+        return ((1, s ^ pair, one), (0, s ^ pair, -z), (0, s, z))
+    if bits:  # t_j v_j = v_(j+1) t_j
+        return ((1, s ^ pair, one),)
+    return ((1, s, one),)
 
 
-def _lmul_v(l: int, terms: dict) -> dict:
-    """Left-multiply a full-variant term dict by v_l."""
-    out: dict = {}
-    for (vmask, w), coeff in terms.items():
-        below = vmask & ((1 << l) - 1)
-        sign = -1 if (bin(below).count("1") & 1) else 1
-        _add_term(out, (vmask ^ (1 << l), w), coeff if sign > 0 else -coeff)
-    return out
+def _lmul_word(word, terms: dict, field) -> dict:
+    """Left-multiply a full-variant term dict by the letters of word, last
+    letter first.  t_j passes c_s by _t_past_clifford and then acts on h_w
+    (t_j^(-1) = t_j - z); v_l and e_j = v_j v_(j+1) multiply c_s with a sign."""
+    z = field.z
+    for letter in reversed(word):
+        kind, j = letter[0], letter[1]
+        out: dict = {}
+        if kind == "t":
+            inverse = letter[2:] == (-1,)
+            for (s, w), coeff in terms.items():
+                for b, r, c in _t_past_clifford(j, s, field):
+                    if b:
+                        _hecke_lmul(j, w, coeff * c, z, out, lambda u: (r, u))
+                    else:
+                        _add_term(out, (r, w), coeff * c)
+                if inverse:
+                    _add_term(out, (s, w), -coeff * z)
+        else:
+            m = 1 << j if kind == "v" else 3 << j
+            for (s, w), coeff in terms.items():
+                sign = _clifford_sign(m, s)
+                _add_term(out, (s ^ m, w), coeff if sign > 0 else -coeff)
+        terms = out
+    return terms
 
 
 def _clifford_sign(s: int, t: int) -> int:
@@ -384,33 +361,18 @@ def _clifford_sign(s: int, t: int) -> int:
 def _expand(w: Perm, vmask: int, field) -> dict:
     """The product h_w c_vmask in the full basis c_s h_w (cached; callers
     must not mutate the result)."""
-    cur = {(vmask, perm_identity(len(w))): field.one}
-    for i in reversed(reduced_word(w)):
-        cur = _lmul_t(i, cur, field.z)
-    return cur
-
-
-def _lmul_letter(letter, terms: dict, field) -> dict:
-    kind = letter[0]
-    if kind == "t":
-        _, j, exp = letter
-        return _lmul_t(j, terms, field.z, inverse=exp < 0)
-    if kind == "v":
-        return _lmul_v(letter[1], terms)
-    if kind == "e":
-        j = letter[1]
-        return _lmul_v(j, _lmul_v(j + 1, terms))
-    raise DomainError(f"unknown generator letter {letter!r}")
+    word = [("t", i) for i in reduced_word(w)]
+    return _lmul_word(word, {(vmask, perm_identity(len(w))): field.one}, field)
 
 
 def normalize_full(letters, n: int, field=QIQ) -> AlgebraElement:
     """Expand a generator word into the full-variant basis c_s h_w."""
     if n < 0:
         raise DomainError(f"strand count must be nonnegative, got {n}")
-    terms = {(0, perm_identity(n)): field.one}
-    for letter in reversed(list(letters)):
+    letters = list(letters)
+    for letter in reversed(letters):
         _validate_letter(letter, n)
-        terms = _lmul_letter(letter, terms, field)
+    terms = _lmul_word(letters, {(0, perm_identity(n)): field.one}, field)
     return AlgebraElement(n, "full", terms, field)
 
 
@@ -545,11 +507,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         )
     out: dict = {}
     for (vmask, w), ca in a.terms.items():
-        cur = {key: c * ca for key, c in b.terms.items()}
-        for i in reversed(reduced_word(w)):
-            cur = _lmul_t(i, cur, a.field.z)
-        for l in sorted(_bits(vmask), reverse=True):
-            cur = _lmul_v(l, cur)
+        word = [("v", l) for l in _bits(vmask)] + [("t", i) for i in reduced_word(w)]
+        cur = _lmul_word(word, {key: c * ca for key, c in b.terms.items()}, a.field)
         for key, c in cur.items():
             _add_term(out, key, c)
     return AlgebraElement(a.n, "full", out, a.field)

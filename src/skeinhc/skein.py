@@ -108,19 +108,18 @@ class _State:
     p1 + #(minuses right of j).
     """
 
-    __slots__ = ("sig", "m", "terms", "p1", "field")
+    __slots__ = ("sig", "m", "terms", "p1")
 
-    def __init__(self, source: str, field=QIQ):
+    def __init__(self, source: str):
         _check_signature(source)
         self.sig = list(source)
         self.p1 = source.count("+")
-        self.field = field
         self.m = len(source)
-        self.terms = identity_element(self.m, "even", field).terms
+        self.terms = identity_element(self.m, "even").terms
 
     @property
     def x(self) -> AlgebraElement:
-        return AlgebraElement(self.m, "even", self.terms, self.field)
+        return AlgebraElement(self.m, "even", self.terms)
 
     def set_even(self, x: AlgebraElement):
         self.m = x.n
@@ -157,13 +156,13 @@ class _State:
         u_new = self.p1 + sum(1 for c in self.sig[i:] if c == "-")
         terms = {(w + (m_old,), s): c for (w, s), c in self.terms.items()}
         for k in range(m_old - 1, u_new - 1, -1):  # chain re-laning, below
-            terms = _lmul_even(k, terms, self.field.z, inverse=True)
+            terms = _lmul_even(k, terms, QIQ.z, inverse=True)
         sweep = [("t", k, -1) for k in range(m_old - 1, r - 1, -1)]  # above
-        terms = _rmul_word(terms, sweep, self.field)
+        terms = _rmul_word(terms, sweep, QIQ)
         self.m = m_old + 1
         self.terms = terms
         if pair == "-+":
-            self._scale(-self.field.i)
+            self._scale(-QIQ.i)
         self.sig[i:i] = list(pair)
 
     def _scale(self, c):
@@ -186,12 +185,12 @@ class _State:
         u = self.minus_src(minus_pos)
         r = self.rank(plus_pos)
         walk = [("t", k) for k in range(r, self.m - 1)]  # the output to the last slot
-        terms = _rmul_word(self.terms, walk, self.field)
+        terms = _rmul_word(self.terms, walk, QIQ)
         for k in range(u, self.m - 1):  # walk the input below
-            terms = _lmul_even(k, terms, self.field.z)
-        closed = close_last_strand(AlgebraElement(self.m, "even", terms, self.field))
+            terms = _lmul_even(k, terms, QIQ.z)
+        closed = close_last_strand(AlgebraElement(self.m, "even", terms))
         if minus_pos < plus_pos:
-            closed = closed.scale(self.field.i)
+            closed = closed.scale(QIQ.i)
         self.set_even(closed)
         for pos in sorted((minus_pos, plus_pos), reverse=True):
             del self.sig[pos]
@@ -199,10 +198,10 @@ class _State:
     # virtual letters for hom-space words (rank-addressed, signature-agnostic)
     def vcross(self, r: int, positive: bool = True):
         letter = ("t", r) if positive else ("t", r, -1)
-        self.terms = _rmul_word(self.terms, [letter], self.field)
+        self.terms = _rmul_word(self.terms, [letter], QIQ)
 
     def vladder(self, r: int):
-        self.terms = _rmul_word(self.terms, [("e", r)], self.field)
+        self.terms = _rmul_word(self.terms, [("e", r)], QIQ)
 
     def apply(self, letter):
         if isinstance(letter, Crossing):
@@ -237,7 +236,7 @@ def _apply_hom_word(
     for j in range(m_to):
         state.cup(part_start + len(s_from) + j, "+-")
     # the algebra box itself, addressed by plus ranks
-    state.terms = _rmul_terms(state.terms, box, state.field, rank_offset)
+    state.terms = _rmul_terms(state.terms, box, QIQ, rank_offset)
     # caps pairing the source minuses with the top-ranked box outputs,
     # leftmost minus against the highest rank
     n_minus = s_from.count("-")
@@ -277,7 +276,7 @@ def _is_plus_pair(source: str, target: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _change_of_basis(source: str, target: str, field=QIQ):
+def _change_of_basis(source: str, target: str):
     """The bent columns of the hom basis (hom key -> algebra terms) and their
     factor C = L*U, eliminated in basis_keys_even order without pivoting: one
     (key, 1/pivot, column of L below the pivot, row of U right of it) per key.
@@ -286,8 +285,8 @@ def _change_of_basis(source: str, target: str, field=QIQ):
     columns = {}
     rows = {key: {} for key in keys}  # C by rows, eliminated in place
     for key in keys:
-        state = _State(source, field)
-        _apply_hom_word(state, {key: field.one}, source, target, 0)
+        state = _State(source)
+        _apply_hom_word(state, {key: QIQ.one}, source, target, 0)
         if "".join(state.sig) != _sorted_sig(target):
             raise ConsistencyError("basis word left an unexpected boundary")
         columns[key] = state.terms
@@ -299,7 +298,7 @@ def _change_of_basis(source: str, target: str, field=QIQ):
         pivot = u_row.pop(key, None)
         if pivot is None:
             raise ConsistencyError(f"change of basis has a vanishing pivot at {key}")
-        inv = field.one / pivot
+        inv = QIQ.one / pivot
         l_col = {}
         for akey, row in rows.items():
             c = row.pop(key, None)
@@ -311,10 +310,10 @@ def _change_of_basis(source: str, target: str, field=QIQ):
     return columns, factor
 
 
-def _coords_to_algebra(coeffs: dict, source: str, target: str, field) -> dict:
+def _coords_to_algebra(coeffs: dict, source: str, target: str) -> dict:
     if _is_plus_pair(source, target):
         return dict(coeffs)
-    columns = _change_of_basis(source, target, field)[0]
+    columns = _change_of_basis(source, target)[0]
     out: dict = {}
     for key, c in coeffs.items():
         for akey, v in columns[key].items():
@@ -327,7 +326,7 @@ def _algebra_to_coords(x: AlgebraElement, source: str, target: str) -> dict:
     y = dict(x.terms)
     if not y or _is_plus_pair(source, target):
         return y
-    factor = _change_of_basis(source, target, x.field)[1]
+    factor = _change_of_basis(source, target)[1]
     for key, _, l_col, _ in factor:
         c = y.get(key)
         if c is not None:
@@ -335,7 +334,7 @@ def _algebra_to_coords(x: AlgebraElement, source: str, target: str) -> dict:
                 _add_term(y, akey, -v * c)
     out: dict = {}
     for key, inv, _, u_row in reversed(factor):
-        c = y.get(key, x.field.zero)
+        c = y.get(key, QIQ.zero)
         for j, u in u_row.items():
             if j in out:
                 c = c - u * out[j]
@@ -354,18 +353,19 @@ class HomElement:
     indexed by (permutation, ladder mask), which `coeffs` solves back for.
     """
 
-    __slots__ = ("source", "target", "field", "_bent")
+    __slots__ = ("source", "target", "_bent")
 
-    def __init__(self, source: str, target: str, coeffs=None, field=QIQ):
+    def __init__(self, source: str, target: str, coeffs=None):
         self.source = _check_signature(source)
         self.target = _check_signature(target)
-        self.field = field
         terms = {}
         if coeffs:
             if _charge(source) != _charge(target):
                 raise DomainError("nonzero element of a zero hom space")
-            terms = _coords_to_algebra(coeffs, source, target, field)
-        self._bent = AlgebraElement(self.strand_count, "even", terms, field)
+            for key in coeffs:
+                _check_basis_key(key, source, target)
+            terms = _coords_to_algebra(coeffs, source, target)
+        self._bent = AlgebraElement(self.strand_count, "even", terms)
 
     @property
     def strand_count(self) -> int:
@@ -385,7 +385,9 @@ class HomElement:
 
     @classmethod
     def unbend(cls, x: AlgebraElement, source: str, target: str) -> "HomElement":
-        hom = cls(source, target, field=x.field)
+        if x.field is not QIQ:
+            raise DomainError("hom elements take rational-function coefficients")
+        hom = cls(source, target)
         if x.n != hom.strand_count:
             raise DomainError("strand count does not match the signatures")
         if not x.is_zero:
@@ -404,7 +406,7 @@ class HomElement:
         return HomElement.unbend(self._bent + other._bent, self.source, self.target)
 
     def __sub__(self, other):
-        return self + other.scale(-self.field.one)
+        return self + other.scale(-QIQ.one)
 
     def scale(self, c) -> "HomElement":
         return HomElement.unbend(self._bent.scale(c), self.source, self.target)
@@ -436,8 +438,8 @@ class HomElement:
         if other.source != self.target:
             raise DomainError("signature mismatch in composition")
         if self.is_zero or other.is_zero:
-            return HomElement(self.source, other.target, {}, self.field)
-        state = _State(self.target, self.field)
+            return HomElement(self.source, other.target)
+        state = _State(self.target)
         state.p1 = self.source.count("+")
         state.set_even(self.bend())
         _apply_hom_word(state, other.coeffs, self.target, other.target, 0)
@@ -449,8 +451,8 @@ class HomElement:
         src = self.source + other.source
         tgt = self.target + other.target
         if self.is_zero or other.is_zero:  # as is every element of a zero hom space
-            return HomElement(src, tgt, {}, self.field)
-        state = _State(src, self.field)
+            return HomElement(src, tgt)
+        state = _State(src)
         _apply_hom_word(state, self.coeffs, self.source, self.target, 0)
         _apply_hom_word(
             state, other.coeffs, other.source, other.target, len(self.target)
@@ -475,13 +477,27 @@ def _sorted_sig(sig: str) -> str:
     return "+" * sig.count("+") + "-" * sig.count("-")
 
 
-def identity_hom(sig: str, field=QIQ) -> HomElement:
+def identity_hom(sig: str) -> HomElement:
     """The identity morphism; its bent element is the algebra unit."""
-    return HomElement.unbend(identity_element(len(sig), "even", field), sig, sig)
+    return HomElement.unbend(identity_element(len(sig), "even"), sig, sig)
 
 
-def hom_basis_element(source: str, target: str, key, field=QIQ) -> HomElement:
-    return HomElement(source, target, {key: field.one}, field)
+def hom_basis_element(source: str, target: str, key) -> HomElement:
+    return HomElement(source, target, {key: QIQ.one})
+
+
+def _check_basis_key(key, source: str, target: str):
+    """Raise DomainError unless key is in basis_indices(source, target): a
+    permutation of the m strands with a ladder mask on m - 1 of them."""
+    m = (len(source) + len(target)) // 2
+    try:
+        w, s = key
+        ok = sorted(w) == list(range(m)) and type(s) is int
+        ok = ok and 0 <= s < 1 << max(0, m - 1)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{key!r} is not a basis index of Hom({source} -> {target})")
 
 
 def basis_indices(source: str, target: str) -> list:
@@ -499,9 +515,9 @@ def basis_indices(source: str, target: str) -> list:
 # Word evaluation.
 
 
-def evaluate(letters, source: str, field=QIQ) -> HomElement:
+def evaluate(letters, source: str) -> HomElement:
     """Evaluate a diagram word bottom-to-top starting from `source`."""
-    state = _State(source, field)
+    state = _State(source)
     for letter in letters:
         state.apply(letter)
     target = "".join(state.sig)
@@ -513,10 +529,10 @@ def evaluate(letters, source: str, field=QIQ) -> HomElement:
     return HomElement.unbend(state.x, source, target)
 
 
-def straighten(letters, n: int, field=QIQ) -> AlgebraElement:
+def straighten(letters, n: int) -> AlgebraElement:
     """Evaluate an endomorphism word on n upward strands into the even
     algebra (all caps and cups removed)."""
-    hom = evaluate(letters, "+" * n, field)
+    hom = evaluate(letters, "+" * n)
     if hom.target != "+" * n:
         raise DomainError(
             f"word is not an endomorphism of +^{n}: target {hom.target!r}"
@@ -524,19 +540,19 @@ def straighten(letters, n: int, field=QIQ) -> AlgebraElement:
     return hom.bend()
 
 
-def ladder_normalization(field=QIQ) -> ScalarQ:
+def ladder_normalization() -> ScalarQ:
     """The scalar -2/(q - q^(-1)) relating the ladder to the projection
     composite through the invertible object."""
-    return field.from_int(-2) / field.z
+    return QIQ.from_int(-2) / QIQ.z
 
 
-def g_projection(field=QIQ) -> HomElement:
+def g_projection() -> HomElement:
     """The idempotent in End(+-) projecting onto the invertible object: the
     ladder turned on its side (its left leg swung onto the downward strand),
     normalized to categorical trace 1 = dim g."""
     from .trace_gram import categorical_trace
 
-    state = _State("+-", field)
+    state = _State("+-")
     state.cup(2, "+-")  # fresh pair feeding the turned leg
     state.vladder(0)  # ladder on the two upward strands
     state._contract(minus_pos=1, plus_pos=_pos_of_rank(state, 0))
@@ -544,7 +560,7 @@ def g_projection(field=QIQ) -> HomElement:
     tr = categorical_trace(turned)
     if tr.is_zero:
         raise ConsistencyError("turned ladder has vanishing trace")
-    proj = turned.scale(field.one / tr)
+    proj = turned.scale(QIQ.one / tr)
     if not proj.compose(proj).equals(proj):
         raise ConsistencyError("normalized turned ladder is not idempotent")
     return proj
@@ -695,11 +711,6 @@ def _signature_at(letters, source: str, k: int) -> str:
             sig[letter.index : letter.index] = list(letter.pair)
         elif isinstance(letter, Cap):
             del sig[letter.index : letter.index + 2]
-        elif isinstance(letter, Crossing):
-            sig[letter.index], sig[letter.index + 1] = (
-                sig[letter.index + 1],
-                sig[letter.index],
-            )
     return "".join(sig)
 
 
@@ -718,7 +729,7 @@ def hom_to_json(hom: HomElement) -> str:
     )
 
 
-def hom_from_json(text: str, field=QIQ) -> HomElement:
+def hom_from_json(text: str) -> HomElement:
     """Read hom_to_json's output; any malformed input raises DomainError."""
     try:
         data = json.loads(text)
@@ -745,5 +756,5 @@ def hom_from_json(text: str, field=QIQ) -> HomElement:
         if key in terms:
             raise DomainError(f"duplicate term w={w!r} s={s!r}")
         terms[key] = parse_scalar(item["coeff"])
-    bent = AlgebraElement(m, "even", terms, field)
+    bent = AlgebraElement(m, "even", terms)
     return HomElement.unbend(bent, source, target)

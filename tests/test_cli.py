@@ -5,12 +5,20 @@ import os
 import subprocess
 import sys
 import time
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
 
 import skeinhc
-from skeinhc.cli import MAX_WORD_STRANDS, _build_parser, main
+from skeinhc.cli import (
+    MAX_DECOMPOSE_N,
+    MAX_SHAPE_BOXES,
+    MAX_SHAPE_STATES,
+    MAX_WORD_STRANDS,
+    _build_parser,
+    main,
+)
 from skeinhc.verify import SUITES
 
 
@@ -140,6 +148,75 @@ def test_strand_count_work_bound(capsys, command):
     assert err == f"error: {command} needs 99999 strands, over the limit {limit}\n"
     code, _, _ = run(capsys, command, "--n", str(MAX_WORD_STRANDS), "--word", "t1")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message, limit",
+    [
+        (("tableaux", "--shape", "2000"), "tableaux needs 2000 boxes", MAX_SHAPE_BOXES),
+        (("tableaux", "--mu", "1", "--lam", "1200"), "tableaux needs 1201 boxes",
+         MAX_SHAPE_BOXES),
+        (("paths", "--end-lam", "1500", "--length", "1500"), "paths needs 1500 boxes",
+         MAX_SHAPE_BOXES),
+        (("tableaux", "--shape", ",".join(["12"] * 12)),
+         "tableaux may visit 2704156 states", MAX_SHAPE_STATES),
+        (("paths", "--end-lam", "8,6,5,3,2,1", "--start-mu", "8,6,5,3,2,1",
+          "--length", "50"), "paths may visit 9018009 states", MAX_SHAPE_STATES),
+        (("decompose", "--N", "17", "--object", "A"), "decompose needs N = 17",
+         MAX_DECOMPOSE_N),
+    ],
+)
+def test_combinatorics_work_bounds(capsys, argv, message, limit):
+    # the first three exited 1 with a RecursionError traceback, the next two
+    # ran for over 20 s, and decompose ran for over 120 s already at N = 14
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1  # refused before any work
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, over the limit {limit}\n"
+
+
+def hook_length_count(rows):
+    """Standard tableaux of shape rows by the hook length formula."""
+    cols = [sum(1 for r in rows if r > j) for j in range(rows[0])]
+    cells = [(i, j) for i, r in enumerate(rows) for j in range(r)]
+    hooks = prod(rows[i] - j + cols[j] - i - 1 for i, j in cells)
+    return factorial(len(cells)) // hooks
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("tableaux", "--shape", "200"), 1),
+        (("tableaux", "--mu", "1", "--lam", "199"), 199),
+        (("tableaux", "--shape", ",".join(["8"] * 8)), hook_length_count([8] * 8)),
+        # interleavings of the boxes added to lam and removed from mu
+        (("paths", "--end-lam", "100", "--start-mu", "100", "--length", "200"),
+         comb(200, 100)),
+        (("paths", "--end-lam", "5,5,5,5", "--start-mu", "5,5,5,5", "--length", "40"),
+         comb(40, 20) * hook_length_count([5] * 4) ** 2),
+    ],
+)
+def test_combinatorics_within_the_work_bounds(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and int(out) == expected
+
+
+def test_decompose_at_its_work_bound(capsys):
+    code, out, _ = run(capsys, "decompose", "--N", str(MAX_DECOMPOSE_N), "--object",
+                       "B", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 ** (MAX_DECOMPOSE_N - 2)
+
+
+def test_longest_word_with_a_clifford_letter_at_the_strand_bound(capsys):
+    # 8,128 crossings of the longest permutation, then v1: the full basis
+    # folds it letter by letter without recursion
+    n = MAX_WORD_STRANDS
+    word = " ".join(f"t{j}" for i in range(1, n) for j in range(i, 0, -1)) + " v1"
+    code, out, _ = run(capsys, "normalize", "--n", str(n), "--word", word)
+    assert code == 0
+    assert json.loads(out)["variant"] == "full"
 
 
 def test_zero_strands_unchanged(capsys):

@@ -149,6 +149,31 @@ def test_decompose_structure():
         assert sizes == sorted(sizes)
 
 
+def test_partitions_length_bound():
+    for n in range(9):
+        for k in range(5):
+            short = [mu for mu in partitions(n, 3) if len(mu) <= k]
+            assert list(partitions(n, 3, k)) == short
+
+
+def test_decompose_lists_every_diagram_with_hook_below_N():
+    # the oracle filters every partition with parts below N by hook11 < N
+    for N in range(2, 8):
+        for parity, want in (("even", 0), ("odd", 1)):
+            oracle = [
+                mu
+                for n in range(want, (N - 1) ** 2 + 1, 2)
+                for mu in partitions(n, N - 1)
+                if hook11(mu) < N
+            ]
+            oracle.sort(key=lambda mu: (sum(mu), mu))
+            assert [pair.lam for pair, _ in decompose_object(N, parity)] == oracle
+    # hook11(mu) < N picks one diagram per subset of the N - 1 diagonals
+    for N in range(2, 13):
+        both = decompose_object(N, "even") + decompose_object(N, "odd")
+        assert len(both) == 2 ** (N - 1)
+
+
 def test_summed_subset_identity():
     for n in range(0, 7):
         for lam in partitions(n):

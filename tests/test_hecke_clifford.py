@@ -8,8 +8,11 @@ import pytest
 from skeinhc.errors import DomainError, ParityError
 from skeinhc.hecke_clifford import (
     AlgebraElement,
+    _add_term,
     _lmul_even,
+    _lmul_word,
     _rmul_word,
+    all_perms,
     alpha,
     antisymmetrizer,
     basis_keys_even,
@@ -139,6 +142,60 @@ def test_token_moving_relations():
             for l in range(n):
                 if l not in (j, j + 1):
                     assert multiply(tf[j], vs[l]) == multiply(vs[l], tf[j])
+
+
+def _relations(n):
+    """The defining relations as pairs of sides, each a list of (coefficient,
+    word); a word reads as a product left to right."""
+    t = [("t", j, 1) for j in range(n - 1)]
+    ti = [("t", j, -1) for j in range(n - 1)]
+    v = [("v", l) for l in range(n)]
+    one = [(ONE, [])]
+    out = []
+    for j in range(n - 1):
+        out += [
+            ([(ONE, [t[j], ti[j]])], one),
+            ([(ONE, [ti[j], t[j]])], one),
+            ([(ONE, [t[j], t[j]])], one + [(Z, [t[j]])]),
+            ([(ONE, [t[j], v[j]])], [(ONE, [v[j + 1], t[j]])]),
+            (
+                [(ONE, [t[j], v[j + 1]])],
+                [(ONE, [v[j], t[j]]), (-Z, [v[j]]), (Z, [v[j + 1]])],
+            ),
+            ([(ONE, [("e", j)])], [(ONE, [v[j], v[j + 1]])]),
+        ]
+        out += [([(ONE, [t[j], v[l]])], [(ONE, [v[l], t[j]])])
+                for l in range(n) if l not in (j, j + 1)]
+        out += [([(ONE, [t[j], t[k]])], [(ONE, [t[k], t[j]])])
+                for k in range(j + 2, n - 1)]
+        if j + 2 < n:
+            out.append(([(ONE, [t[j], t[j + 1], t[j]])],
+                        [(ONE, [t[j + 1], t[j], t[j + 1]])]))
+    for l in range(n):
+        out.append(([(ONE, [v[l], v[l]])], one))
+        out += [([(ONE, [v[l], v[k]])], [(-ONE, [v[k], v[l]])])
+                for k in range(l + 1, n)]
+    return out
+
+
+def _side(side, key):
+    out = {}
+    for c, word in side:
+        for k, x in _lmul_word(word, {key: ONE}, QIQ).items():
+            _add_term(out, k, c * x)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_actions_satisfy_the_defining_relations(n):
+    # left multiplication by the generators, as operators on every monomial
+    # c_s h_w (384 at n = 4), satisfies each defining relation; with the
+    # closure dimensions this pins the regular representation
+    relations = _relations(n)
+    for w in all_perms(n):
+        for s in range(1 << n):
+            for lhs, rhs in relations:
+                assert _side(lhs, (s, w)) == _side(rhs, (s, w)), (s, w, lhs, rhs)
 
 
 def test_normalize_examples():

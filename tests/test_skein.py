@@ -14,7 +14,7 @@ from skeinhc.hecke_clifford import (
     multiply,
     t_element,
 )
-from skeinhc.scalars import I, ONE, QIQ
+from skeinhc.scalars import CyclotomicField, I, ONE, QIQ
 from skeinhc.skein import (
     Cap,
     Crossing,
@@ -366,6 +366,25 @@ def test_charge_conservation():
         identity_hom("-+")
 
 
+@pytest.mark.parametrize("sig", ["++", "+-"])
+@pytest.mark.parametrize(
+    "key", [((0, 1, 2), 7), ((1, 0), 2), ((0, 0), 0), ((1, 0), -1), ((1, 0), 1.0), "ab"]
+)
+def test_hom_element_rejects_keys_outside_the_basis(sig, key):
+    # on ++/++ the first key was stored as a term of a 2-strand element, and
+    # on +-/+- it raised a bare KeyError
+    with pytest.raises(DomainError, match="is not a basis index of Hom"):
+        HomElement(sig, sig, {key: ONE})
+
+
+def test_unbend_needs_rational_function_coefficients():
+    x = identity_element(2, "even", CyclotomicField(3))
+    with pytest.raises(DomainError, match="rational-function coefficients"):
+        HomElement.unbend(x, "++", "++")
+    with pytest.raises(DomainError, match="rational-function coefficients"):
+        HomElement.unbend(x, "+-", "+-")
+
+
 def test_categorical_trace():
     assert categorical_trace(identity_hom("+-")) == D * D
     assert categorical_trace(identity_hom("++")) == D * D
@@ -403,7 +422,7 @@ def _close_minus_strand(hom):
     """Partial closure of the downward strand of an End(+-) element."""
     from skeinhc.skein import _State, _apply_hom_word
 
-    st = _State("+", QIQ)
+    st = _State("+")
     st.cup(1, "-+")
     _apply_hom_word(st, hom.coeffs, "+-", "+-", 0)
     st.cap(1)
