@@ -12,8 +12,10 @@ is fixed and seeded:
   t_j, t_j^(-1) and e_j on the even basis of 4 strands (mostly 1 and -1);
 * state coefficients: the coefficients of ``normalize`` of random t and e
   words on 4 strands (Laurent polynomials over Z[i] over q^k);
-* non-Laurent values, one in twenty states: Markov traces of random words,
-  whose denominators are powers of q^2 - 1, the loop value and 1/(2q).
+* other values, one in ten states: Markov traces of random words and the
+  distinct End(+^4) trace-vector entries, whose denominators are
+  q^j (q^2 - 1)^k, the loop value and its powers up to the fourth, and
+  1/(2q).
 
 Products are state times action coefficient, as in the even action; sums
 add a product to another state; negations negate each product.  Each list is
@@ -43,7 +45,7 @@ from skeinhc.scalars import (  # noqa: E402
     _gmul,
     loop_value,
 )
-from skeinhc.trace_gram import markov_trace  # noqa: E402
+from skeinhc.trace_gram import _trace_vector, markov_trace  # noqa: E402
 
 STRANDS = 4
 WORDS = 40
@@ -73,17 +75,25 @@ def operands(rng) -> tuple:
     words = [random_word(rng) for _ in range(WORDS)]
     states = [c for word in words for c in normalize(word, STRANDS).terms.values()]
     others = [markov_trace(normalize(random_word(rng), STRANDS)) for _ in range(8)]
-    others += [loop_value(), ScalarQ(1) / (2 * QIQ.q)]
-    for k in range(0, len(states), 20):
-        states[k] = others[k // 20 % len(others)]
+    others += sorted(set(_trace_vector(STRANDS, QIQ)), key=str)
+    others += [loop_value() ** k for k in range(1, 5)] + [ScalarQ(1) / (2 * QIQ.q)]
+    for k in range(0, len(states), 10):
+        states[k] = others[k // 10 % len(others)]
     return actions, states
 
 
-def is_laurent(x: ScalarQ) -> bool:
-    """Whether x's denominator is q^k (checkouts before the Laurent fast
-    path have no ``scalars._is_laurent``)."""
+def denominator_kind(x: ScalarQ) -> str:
+    """"laurent" for a denominator q^j, "family" for q^j (q^2 - 1)^k with
+    k > 0, else "other" (read from the parts, so that every checkout can be
+    timed)."""
     dr, di = x._parts[2:]
-    return not di and dr[-1] == 1 and dr.count(0) == len(dr) - 1
+    j = next(k for k, c in enumerate(dr) if c)
+    z = (1,)
+    while len(z) < len(dr) - j:
+        z = tuple(a - b for a, b in zip((0, 0, *z), (*z, 0, 0)))
+    if di or dr[j:] != z:
+        return "other"
+    return "laurent" if len(z) == 1 else "family"
 
 
 def fastest(fn) -> tuple:
@@ -130,11 +140,12 @@ def main() -> int:
         for (a, b), result in zip(operand_pairs, results)
     )
     units = sum(c in (1, -1) for c in actions)
-    laurent = sum(is_laurent(s) for s in states)
+    kinds = [denominator_kind(s) for s in states]
     entry = {
         "layer": "scalar arithmetic",
         "operands": {"action_coefficients": len(actions), "unit_actions": units,
-                     "states": len(states), "laurent_states": laurent},
+                     "states": len(states), "laurent_states": kinds.count("laurent"),
+                     "family_states": kinds.count("family")},
         "products": {"ops": len(pairs), "seconds": mul_s},
         "sums": {"ops": len(addends), "seconds": add_s},
         "negations": {"ops": len(products), "seconds": neg_s},

@@ -9,8 +9,8 @@ Three layers:
   a canonical form, so structural equality coincides with equality of values.
   Results that are canonical by construction skip `_canonical`: a product
   by 1 or -1 and a negation (the negated numerator keeps the denominator
-  and its positive integer lead), and products and sums of Laurent values
-  (denominator q^k), where only a common power of q can cancel.
+  and its positive integer lead), and products, quotients and sums of
+  values over q^j (q^2 - 1)^k (a loop is 2iq/(q^2 - 1)), see `_family`.
 * :class:`CyclotomicValue` -- elements of Q(zeta_m) as an integer vector
   modulo the m-th cyclotomic polynomial over one positive integer
   denominator.  The specialization points of interest send q to the
@@ -278,18 +278,62 @@ def _canonical(nr, ni, dr, di) -> tuple:
     return nr, ni, dr, di
 
 
-def _is_laurent(dr: tuple, di: tuple) -> bool:
-    """Whether the canonical denominator dr + i*di is q^k, lead 1."""
-    return not di and dr[-1] == 1 and dr.count(0) == len(dr) - 1
+@lru_cache(maxsize=None)
+def _z_power(k: int) -> tuple:
+    """(q^2 - 1)^k, dense."""
+    return (1,) if k == 0 else tuple(_polymul(_z_power(k - 1), (-1, 0, 1)))
 
 
-def _laurent(nr: tuple, ni: tuple, k: int) -> tuple:
-    """The canonical form of (nr + i*ni)/q^k for trimmed nr and ni.  Only a
-    common power of q can cancel, and the lead 1 keeps the content 1, so
-    this strips the shift `_canonical` would and skips the rest (a zero
-    numerator strips all of q^k)."""
-    shift = min(_low(nr), _low(ni), k)
-    return nr[shift:], ni[shift:], (0,) * (k - shift) + (1,), ()
+_DENOMINATORS: dict = {}  # (j, k) of each q^j (q^2 - 1)^k met, and nothing else
+
+
+def _exponents(dr: tuple, di: tuple):
+    """(j, k) if dr + i*di is q^j (q^2 - 1)^k, else None."""
+    jk = None if di else _DENOMINATORS.get(dr)
+    if jk is None and not di and dr[-1] == 1:
+        j = _low(dr)
+        k, odd = divmod(len(dr) - 1 - j, 2)
+        if not odd and dr[j] == (-1) ** k and dr[j:] == _z_power(k):
+            jk = _DENOMINATORS[dr] = j, k
+    return jk
+
+
+def _over_z(p: tuple) -> tuple:
+    """p / (q^2 - 1) for an int polynomial p that it divides."""
+    s = list(p[2:])
+    for m in range(len(s) - 3, -1, -1):
+        s[m] += s[m + 2]
+    return tuple(s)
+
+
+def _scaled(p: tuple, j: int, k: int) -> tuple:
+    """p * q^j (q^2 - 1)^k."""
+    if k and p:
+        p = tuple(_polymul(p, _z_power(k)))
+    return (0,) * j + p if p else p
+
+
+def _family(nr: tuple, ni: tuple, j: int, k: int) -> ScalarQ:
+    """(nr + i*ni)/(q^j (q^2 - 1)^k) for trimmed nr and ni, in the form of
+    `_canonical` with no gcd: the denominator's only roots are 0 and +-1, so
+    q and q^2 - 1 cancel exactly where the numerator vanishes at 0 and at
+    both +-1, and the lead 1 keeps the content 1.  A numerator vanishing at
+    just one of +-1 leaves the family and takes `_canonical`."""
+    if not (nr or ni):
+        return ZERO
+    shift = min(_low(nr), _low(ni), j)
+    if shift:
+        nr, ni, j = nr[shift:], ni[shift:], j - shift
+    while k:
+        er, odd_r, ei, odd_i = sum(nr[::2]), sum(nr[1::2]), sum(ni[::2]), sum(ni[1::2])
+        at_one = er + odd_r == 0 and ei + odd_i == 0
+        at_minus_one = er == odd_r and ei == odd_i
+        if not (at_one and at_minus_one):
+            if at_one or at_minus_one:
+                return ScalarQ(_parts=(nr, ni, (0,) * j + _z_power(k), ()))
+            break
+        nr, ni, k = _over_z(nr), _over_z(ni), k - 1
+    return _new((nr, ni, (0,) * j + _z_power(k), ()))
 
 
 _PLUS_ONE, _MINUS_ONE = ((1,), (), (1,), ()), ((-1,), (), (1,), ())
@@ -333,14 +377,18 @@ class ScalarQ:
     def __add__(self, other, sign=1):
         nr, ni, dr, di = self._parts
         onr, oni, odr, odi = _scalar(other)._parts
-        if _is_laurent(dr, di) and _is_laurent(odr, odi):  # over q^max(k)
-            pad, opad = (0,) * (len(odr) - len(dr)), (0,) * (len(dr) - len(odr))
-            re = _comb(1, pad + nr, sign, opad + onr)
-            im = _comb(1, pad + ni, sign, opad + oni)
-            return _new(_laurent(re, im, max(len(dr), len(odr)) - 1))
+        jk = _exponents(dr, di)
         if dr == odr and di == odi:
             num = _comb(1, nr, sign, onr), _comb(1, ni, sign, oni)
-            return ScalarQ(_parts=(*num, dr, di))
+            return _family(*num, *jk) if jk else ScalarQ(_parts=(*num, dr, di))
+        ojk = jk and _exponents(odr, odi)
+        if ojk:  # over q^max(j) (q^2 - 1)^max(k)
+            (j, k), (oj, ok) = jk, ojk
+            mj, mk = max(j, oj), max(k, ok)
+            a, b = (mj - j, mk - k), (mj - oj, mk - ok)
+            re = _comb(1, _scaled(nr, *a), sign, _scaled(onr, *b))
+            im = _comb(1, _scaled(ni, *a), sign, _scaled(oni, *b))
+            return _family(re, im, mj, mk)
         ar, ai = _gmul(nr, ni, odr, odi)
         br, bi = _gmul(onr, oni, dr, di)
         den = _gmul(dr, di, odr, odi)
@@ -366,8 +414,10 @@ class ScalarQ:
             if not (onr or oni):
                 raise DomainError("division by zero scalar")
             onr, oni, odr, odi = odr, odi, onr, oni
-        if _is_laurent(dr, di) and _is_laurent(odr, odi):
-            return _new(_laurent(*_gmul(nr, ni, onr, oni), len(dr) + len(odr) - 2))
+        jk = _exponents(dr, di)
+        ojk = jk and _exponents(odr, odi)
+        if ojk:
+            return _family(*_gmul(nr, ni, onr, oni), jk[0] + ojk[0], jk[1] + ojk[1])
         return ScalarQ(_parts=(*_gmul(nr, ni, onr, oni), *_gmul(dr, di, odr, odi)))
 
     __rmul__ = __mul__

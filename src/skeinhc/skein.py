@@ -36,7 +36,7 @@ from .hecke_clifford import (
     term_list,
     theta,
 )
-from .scalars import QIQ, ScalarQ, parse_scalar
+from .scalars import QIQ, ScalarQ, _scalar, parse_scalar
 from .trace_gram import close_last_strand
 from .combinatorics import dim_hom_formula
 
@@ -364,6 +364,10 @@ class HomElement:
                 raise DomainError("nonzero element of a zero hom space")
             for key in coeffs:
                 _check_basis_key(key, source, target)
+            try:
+                coeffs = {key: _scalar(c) for key, c in coeffs.items()}
+            except TypeError as exc:
+                raise DomainError(f"hom coefficient: {exc}") from None
             terms = _coords_to_algebra(coeffs, source, target)
         self._bent = AlgebraElement(self.strand_count, "even", terms)
 

@@ -11,14 +11,8 @@ from pathlib import Path
 import pytest
 
 import skeinhc
-from skeinhc.cli import (
-    MAX_DECOMPOSE_N,
-    MAX_SHAPE_BOXES,
-    MAX_SHAPE_STATES,
-    MAX_WORD_STRANDS,
-    _build_parser,
-    main,
-)
+from skeinhc.cli import MAX_DECOMPOSE_N, MAX_WORD_STRANDS, _build_parser, main
+from skeinhc.combinatorics import MAX_SHAPE_BOXES, MAX_SHAPE_STATES
 from skeinhc.verify import SUITES
 
 
@@ -323,3 +317,24 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
     assert all(repr(name) in results[4][2] for name in SUITES)
     for argv, result in zip(calls, results):
         assert fresh(*argv) == result, argv
+
+
+def test_suite_names_match_the_verify_suites():
+    from skeinhc.cli import SUITE_NAMES
+
+    assert SUITE_NAMES == tuple(sorted(SUITES))
+
+
+def test_gram_on_plus_loads_neither_skein_nor_verify():
+    env = dict(os.environ, PYTHONPATH=str(Path(skeinhc.__file__).parents[1]))
+    script = (
+        "import sys\n"
+        "from skeinhc.cli import main\n"
+        "code = main(['gram', '--source', '+++', '--target', '+++', '--spec', '2'])\n"
+        "print(code, sorted(m for m in ('skeinhc.skein', 'skeinhc.verify')"
+        " if m in sys.modules), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)["ranks"] == {"2": 4}

@@ -220,3 +220,22 @@ def test_rank_oracle():
         rank_oracle(-1, 3)
     with pytest.raises(DomainError):
         rank_oracle(2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: count_standard_tableaux((400,)),
+         "count_standard_tableaux needs 400 boxes"),
+        (lambda: count_pair_tableaux((1,), (600,)),
+         "count_pair_tableaux needs 601 boxes"),
+        (lambda: count_paths_double_young(((), ()), ((500,), ()), 500),
+         "count_paths_double_young needs 500 boxes"),
+        (lambda: count_standard_tableaux((12,) * 12),
+         "count_standard_tableaux may visit 2704156 states"),
+    ],
+)
+def test_counters_refuse_shapes_beyond_their_work_bounds(call, message):
+    # the first three raised RecursionError before the bound moved here
+    with pytest.raises(DomainError, match=message + ", over the limit"):
+        call()

@@ -1,11 +1,16 @@
 """Exact arithmetic: normalization, specialization, parsing."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from skeinhc import scalars
 from skeinhc.errors import DomainError, PoleError
 from skeinhc.scalars import (
     I,
@@ -169,10 +174,20 @@ def _random_value(rng, kind) -> ScalarQ:
         return ScalarQ(_parts=((1,), (), (0, 2), ()))
     if kind == "loop":
         return loop_value()
+    if kind.startswith("family"):  # a numerator over q^j (q^2 - 1)^k; over q^j
+        # it carries a factor that products with k > 0 cancel in part or whole
+        den, factor = (1,), FAMILY_FACTORS[kind]
+        for _ in range(rng.randint(1, 3) if factor == (1,) else 0):
+            den = _gmul(den, (), (-1, 0, 1), ())[0]
+        num = _gmul(poly(), poly(), factor, ())
+        return ScalarQ(_parts=(*num, (0,) * rng.randint(0, 2) + den, ()))
     return ScalarQ(_parts=(poly(), poly(), (1, 0, -2, 0, 1), ()))  # over (q^2 - 1)^2
 
 
-KINDS = ["unit", "zero", "laurent", "laurent", "laurent", "half-over-q", "loop", "gram"]
+FAMILY_FACTORS = {"family": (1,), "family*(q-1)": (-1, 1), "family*(q+1)": (1, 1),
+                  "family*(q^2-1)": (-1, 0, 1)}
+KINDS = ["unit", "zero", "laurent", "laurent", "laurent", "half-over-q", "loop", "gram",
+         "family", *FAMILY_FACTORS]
 
 
 def test_fast_paths_match_the_canonical_oracle():
@@ -203,6 +218,25 @@ def test_fast_paths_match_the_canonical_oracle():
             assert (a + b).eval_at(x) == va + vb
             assert (a - b).eval_at(x) == va - vb
             assert not b or (a / b).eval_at(x) == va / vb
+
+
+def test_end3_gram_runs_few_canonical_forms():
+    # a fresh interpreter, so that no memo holds the Gram entries; 926 is the
+    # count when only q^k denominators skip `_canonical`: the bound asks that
+    # q^j (q^2 - 1)^k ones skip it too, with 10x to spare for the rest
+    script = (
+        "from skeinhc import scalars\n"
+        "from skeinhc.trace_gram import gram_matrix\n"
+        "calls, canonical = [], scalars._canonical\n"
+        "scalars._canonical = lambda *a: calls.append(1) or canonical(*a)\n"
+        "gram_matrix('+++', '+++')\n"
+        "print(len(calls))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(scalars.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 10 <= 926
 
 
 def test_hash_agrees_with_equality():

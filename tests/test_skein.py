@@ -511,3 +511,21 @@ def test_hom_from_json_rejects_malformed_terms(terms):
 def test_hom_from_json_rejects_malformed_structure(text):
     with pytest.raises(DomainError):
         hom_from_json(text)
+
+
+@pytest.mark.parametrize("sig", ["++", "+-"])
+def test_hom_element_coerces_plain_coefficients(sig):
+    from fractions import Fraction
+
+    from skeinhc.scalars import GaussianRational, ScalarQ
+
+    key = ((0, 1), 0)
+    for c in (1, Fraction(1, 2), GaussianRational(0, 1)):
+        h = HomElement(sig, sig, {key: c})
+        assert h.coeffs == {key: ScalarQ(c)}
+        assert h == HomElement(sig, sig, {key: ScalarQ(c)})
+    assert HomElement(sig, sig, {key: 0}).coeffs == {}
+    with pytest.raises(DomainError):
+        HomElement(sig, sig, {key: "x"})
+    with pytest.raises(DomainError):
+        HomElement(sig, sig, {key: 1.5})
