@@ -1,12 +1,12 @@
-"""Direct timing of ScalarQ products, sums and negations, for a
-BENCH_*.json entry.
+"""Direct timing of ScalarQ products, sums, negations, printing and
+specialization, for a BENCH_*.json entry.
 
     python3 bench/scalars.py --out BENCH_x.json [--key scalars/direct]
 
 Run from the root of a checkout; the package is imported from ./src, so the
 same script times any checkout that has the private helpers it reads
-(``_canonical``, ``_gmul``, ``_comb``, ``_right_action``).  The operand mix
-is fixed and seeded:
+(``_canonical``, ``_gmul``, ``_comb``, ``_right_action``,
+``CyclotomicField._image``).  The operand mix is fixed and seeded:
 
 * action coefficients: every coefficient of the ``_right_action`` rows of
   t_j, t_j^(-1) and e_j on the even basis of 4 strands (mostly 1 and -1);
@@ -18,11 +18,17 @@ is fixed and seeded:
   1/(2q).
 
 Products are state times action coefficient, as in the even action; sums
-add a product to another state; negations negate each product.  Each list is
-timed REPEATS times and the fastest run is kept.  Every result is then
-compared with ``_canonical`` applied to the unreduced parts; the script
-exits 1 on any mismatch.  The entry is merged into --out under --key;
-other keys in the file are kept.
+add a product to another state; negations negate each product.  ``str``
+prints every state, and ``specialize`` sends every state, and separately
+every state over q^j (q^2 - 1)^k with k > 0, to q = zeta_32 (N = 8), with no
+inverses shared between calls, as in ``trace --spec``.  Each list is timed
+REPEATS times and the fastest run is kept.  Every product, sum and negation
+is then compared with ``_canonical`` applied to the unreduced parts; every
+string with ``parse_scalar`` of it and with the text of the ``num`` and
+``den`` GaussianRational coefficients; every image with the image of the
+numerator times the ``CyclotomicValue.inv`` of the image of the
+denominator.  The script exits 1 on any mismatch.  The entry is merged into
+--out under --key; other keys in the file are kept.
 """
 
 from __future__ import annotations
@@ -39,11 +45,15 @@ sys.path.insert(0, str(Path("src").resolve()))
 from skeinhc.hecke_clifford import _right_action, all_perms, normalize  # noqa: E402
 from skeinhc.scalars import (  # noqa: E402
     QIQ,
+    CyclotomicField,
+    CyclotomicValue,
     ScalarQ,
     _canonical,
     _comb,
     _gmul,
     loop_value,
+    parse_scalar,
+    specialize,
 )
 from skeinhc.trace_gram import _trace_vector, markov_trace  # noqa: E402
 
@@ -52,6 +62,7 @@ WORDS = 40
 WORD_LENGTH = 6
 OPERATIONS = 20_000
 REPEATS = 5
+SPEC_N = 8
 
 
 def random_word(rng) -> list:
@@ -96,6 +107,37 @@ def denominator_kind(x: ScalarQ) -> str:
     return "laurent" if len(z) == 1 else "family"
 
 
+def gaussian_text(x: ScalarQ) -> str:
+    """str(x) rendered from the GaussianRational coefficients of x.num and
+    x.den, highest power of q first."""
+
+    def poly(p: tuple) -> str:
+        out = ""
+        for k in range(len(p) - 1, -1, -1):
+            c = p[k]
+            if c:
+                cs = f"({c})" if c.re and c.im and k else str(c)
+                if k:
+                    mon = "q" if k == 1 else f"q^{k}"
+                    cs = mon if cs == "1" else f"-{mon}" if cs == "-1" else f"{cs}*{mon}"
+                out += cs if not out else f" - {cs[1:]}" if cs[0] == "-" else f" + {cs}"
+        return out or "0"
+
+    num = poly(x.num)
+    if len(x.den) == 1:
+        return num
+    if len(x.num) > 1 or (x.num and x.num[0].re and x.num[0].im):
+        num = f"({num})"
+    return f"{num}/({poly(x.den)})"
+
+
+def quotient_image(x: ScalarQ, field: CyclotomicField) -> CyclotomicValue:
+    """The image of x at q = zeta as image(numerator) * image(denominator)^-1."""
+    nr, ni, dr, di = x._parts
+    num = CyclotomicValue(field.order, field._image(nr, ni), 1)
+    return num * CyclotomicValue(field.order, field._image(dr, di), 1).inv()
+
+
 def fastest(fn) -> tuple:
     best, value = float("inf"), None
     for _ in range(REPEATS):
@@ -131,24 +173,44 @@ def main() -> int:
     addends = [(p, rng.choice(states)) for p in products]
     sums, add_s = fastest(lambda: [a + b for a, b in addends])
     negations, neg_s = fastest(lambda: [-a for a in products])
+    kinds = [denominator_kind(s) for s in states]
+    family = [s for s, kind in zip(states, kinds) if kind == "family"]
+    texts, str_s = fastest(lambda: [str(s) for s in states])
+    images, spec_s = fastest(lambda: [specialize(s, SPEC_N) for s in states])
+    family_images, family_s = fastest(lambda: [specialize(s, SPEC_N) for s in family])
 
     checks = [("mul", pairs, products), ("add", addends, sums),
               ("neg", [(a, None) for a in products], negations)]
-    mismatches = sum(
+    arithmetic = sum(
         result._parts != _canonical(*unreduced(op, a, b))
         for op, operand_pairs, results in checks
         for (a, b), result in zip(operand_pairs, results)
     )
+    distinct = dict(zip(states, texts))
+    text_mismatches = sum(
+        text != gaussian_text(s) or parse_scalar(text) != s for s, text in distinct.items()
+    )
+    field = CyclotomicField(SPEC_N)
+    quotients = {s: quotient_image(s, field) for s in distinct}
+    image_mismatches = sum(
+        image != quotients[s]
+        for values, results in ((states, images), (family, family_images))
+        for s, image in zip(values, results)
+    )
+    mismatches = arithmetic + text_mismatches + image_mismatches
     units = sum(c in (1, -1) for c in actions)
-    kinds = [denominator_kind(s) for s in states]
     entry = {
         "layer": "scalar arithmetic",
         "operands": {"action_coefficients": len(actions), "unit_actions": units,
-                     "states": len(states), "laurent_states": kinds.count("laurent"),
+                     "states": len(states), "distinct_states": len(distinct),
+                     "laurent_states": kinds.count("laurent"),
                      "family_states": kinds.count("family")},
         "products": {"ops": len(pairs), "seconds": mul_s},
         "sums": {"ops": len(addends), "seconds": add_s},
         "negations": {"ops": len(products), "seconds": neg_s},
+        "str": {"ops": len(states), "seconds": str_s, "mismatches": text_mismatches},
+        "specialize": {"N": SPEC_N, "ops": len(states), "seconds": spec_s},
+        "specialize_family": {"N": SPEC_N, "ops": len(family), "seconds": family_s},
         "mismatches": mismatches,
     }
     print(json.dumps(entry), file=sys.stderr)
@@ -157,7 +219,7 @@ def main() -> int:
     data[args.key] = entry
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     if mismatches:
-        print(f"{mismatches} results differ from _canonical", file=sys.stderr)
+        print(f"{mismatches} results differ from their oracles", file=sys.stderr)
         return 1
     return 0
 

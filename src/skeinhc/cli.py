@@ -246,7 +246,7 @@ def _cmd_gram(args) -> int:
             {"w": _perm_string(w), "s": format(emask, "b").zfill(1)}
             for (w, emask) in report.basis
         ],
-        "entries": _entrywise(report.entries, str),
+        "entries": _entrywise(report, str),
         "ranks": ranks,
     }
     if args.generic:

@@ -131,12 +131,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign, im = ("+", self.im) if self.im > 0 else ("-", -self.im)
-        return f"{self.re} {sign} {_imag_str(im)}"
+        return _coeff_str(self.re, self.im)
 
 
 def _gauss(x) -> GaussianRational:
@@ -147,8 +142,14 @@ def _gauss(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {x!r} into Q(i)")
 
 
-def _imag_str(f: Fraction) -> str:
-    return "i" if f == 1 else "-i" if f == -1 else f"{f}*i"
+def _coeff_str(re, im) -> str:
+    """The text of re + im*i for int or Fraction parts."""
+    if not im:
+        return str(re)
+    i = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    if not re:
+        return i if im > 0 else f"-{i}"
+    return f"{re} {'+' if im > 0 else '-'} {i}"
 
 
 _G1 = GaussianRational(1)
@@ -439,11 +440,11 @@ class ScalarQ:
         return ONE / self
 
     # -- structure ----------------------------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, _COEFF):
-            other = _scalar(other)
+    def __eq__(self, other):  # ScalarQ first: _COEFF holds the ABC Fraction
         if not isinstance(other, ScalarQ):
-            return NotImplemented
+            if not isinstance(other, _COEFF):
+                return NotImplemented
+            other = _scalar(other)
         return self._parts == other._parts
 
     def __hash__(self):  # a constant hashes like the equal GaussianRational
@@ -466,13 +467,13 @@ class ScalarQ:
         return f"ScalarQ({self!s})"
 
     def __str__(self):
-        nr, ni, dr, _ = self._parts
-        num = _poly_str(self.num)
+        nr, ni, dr, di = self._parts
+        num = _poly_str(nr, ni, dr[-1])
         if len(dr) == 1:  # the constant L, so den == (1,)
             return num
         if max(len(nr), len(ni)) > 1 or (nr and ni):
             num = f"({num})"
-        return f"{num}/({_poly_str(self.den)})"
+        return f"{num}/({_poly_str(dr, di, dr[-1])})"
 
     def eval_at(self, x) -> GaussianRational:
         """Evaluate at a rational (or Gaussian-rational) value of q.
@@ -523,20 +524,23 @@ def _scalar(x) -> ScalarQ:
     raise TypeError(f"cannot coerce {x!r} into Q(i)(q)")
 
 
-def _poly_str(p: tuple) -> str:
-    terms = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c:
-            mon = "" if k == 0 else "q" if k == 1 else f"q^{k}"
-            cs = f"({c})" if c.re and c.im and mon else str(c)
-            if mon:
-                cs = mon if cs == "1" else f"-{mon}" if cs == "-1" else f"{cs}*{mon}"
-            terms.append(cs)
-    out = terms[0] if terms else "0"
-    for term in terms[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+def _poly_str(re: tuple, im: tuple, lead: int) -> str:
+    """The text of (re + i*im)/lead, highest power of q first; the
+    coefficients stay ints when lead is 1."""
+    out = ""
+    for k in range(max(len(re), len(im)) - 1, -1, -1):
+        a, b = re[k] if k < len(re) else 0, im[k] if k < len(im) else 0
+        if not (a or b):
+            continue
+        if lead != 1:
+            a, b = Fraction(a, lead), Fraction(b, lead)
+        cs = _coeff_str(a, b)
+        if k:
+            mon = "q" if k == 1 else f"q^{k}"
+            cs = (mon if cs == "1" else f"-{mon}" if cs == "-1"
+                  else f"({cs})*{mon}" if a and b else f"{cs}*{mon}")
+        out += cs if not out else f" - {cs[1:]}" if cs[0] == "-" else f" + {cs}"
+    return out or "0"
 
 
 ZERO = ScalarQ(0)
@@ -742,9 +746,11 @@ class CyclotomicValue:
         if self.is_zero:
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if not c:
                 continue
+            if self.den != 1:
+                c = Fraction(c, self.den)
             if k == 0:
                 parts.append(str(c))
             elif k == 1:
@@ -807,7 +813,8 @@ class CyclotomicField:
         self.zeta = self.q = self.powers[1]
         self.i = self.powers[N]
         self.z = self.zeta - self.powers[m - 1]  # zeta - zeta^(-1)
-        self.loop = (2 * self.i) / self.z
+        self._z_inverses = [self.one, self.z.inv()]  # z^(-k), grown on demand
+        self.loop = 2 * self.i * self._z_inverses[1]
 
     # equal orders make equal fields, so fields built separately share memos
     def __eq__(self, other):
@@ -822,6 +829,13 @@ class CyclotomicField:
     def q_power(self, k: int) -> CyclotomicValue:
         """zeta^k for any integer k, from the table of reduced powers."""
         return self.powers[k % self.order]
+
+    def z_inverse(self, k: int) -> CyclotomicValue:
+        """z^(-k) for k >= 0."""
+        powers = self._z_inverses
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
 
     def _image(self, re: tuple, im: tuple, shift: int = 0) -> list:
         """The exponent vector of sum((re[k] + i*im[k]) * q^(k + shift)) at
@@ -846,9 +860,11 @@ def specialize(
     """Exact image of f under q -> zeta_{4N}; raises PoleError at a pole.
 
     A factor q^v of the denominator becomes the exponent shift -v of the
-    numerator, so a monomial denominator costs no inverse.  ``inverses``,
-    if given, maps the rest of a denominator to its inverse at this point;
-    calls at the same point that share it invert each denominator once.
+    numerator, so a monomial denominator costs no inverse, and
+    q^j (q^2 - 1)^k = q^(j + k) z^k with z = q - q^(-1) takes the shift
+    -j - k and the field's z^(-k).  ``inverses``, if given, maps the rest of
+    any other denominator to its inverse at this point; calls at the same
+    point that share it invert each denominator once.
 
     >>> str(specialize(Q, SpecializationPoint(2)))
     'z'
@@ -858,9 +874,13 @@ def specialize(
     field = _field_for(point.N)
     m, (nr, ni, dr, di) = field.order, f._parts
     v = min(_low(dr), _low(di))
-    num = field._image(nr, ni, -v)
     if len(dr) == v + 1:  # L * q^v
-        return CyclotomicValue(m, num, dr[-1])
+        return CyclotomicValue(m, field._image(nr, ni, -v), dr[-1])
+    jk = _exponents(dr, di)
+    if jk:  # q^(j + k) z^k
+        num = CyclotomicValue(m, field._image(nr, ni, -jk[0] - jk[1]), 1)
+        return num * field.z_inverse(jk[1])
+    num = field._image(nr, ni, -v)
     inverses = {} if inverses is None else inverses
     key = (dr[v:], di[v:])
     inv = inverses.get(key)

@@ -30,7 +30,7 @@ Q(zeta_4N) or Q(i)(q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError, DomainError, PoleError
 from .hecke_clifford import (
@@ -186,11 +186,19 @@ class GramReport:
     source: str
     target: str
     basis: list
-    entries: list  # square matrix of ScalarQ
+    entries: list  # square matrix of ScalarQ; fixed once `distinct` has read it
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def distinct(self) -> tuple:
+        """(the distinct entries in row-major order of first appearance, the
+        matrix of their indices there); End(+^3) has 35 among 576."""
+        index = {}
+        rows = [[index.setdefault(c, len(index)) for c in row] for row in self.entries]
+        return list(index), rows
 
 
 # Work bounds: End(+^5) is 1,920-dim.  Mixed signatures compose per entry
@@ -293,24 +301,25 @@ def gram_rank(report: GramReport, point) -> int:
         p, q = _modular_point(point.order)
         i = pow(q, point.N, p)
     inverses = {}  # each distinct denominator is inverted once
-    rows = _entrywise(report.entries, lambda c: residue(c, p, q, i, inverses))
+    rows = _entrywise(report, lambda c: residue(c, p, q, i, inverses))
     if not any(None in row for row in rows) and _rank_mod_p(rows, p) == report.dimension:
         return report.dimension
     if point == "generic":
         return matrix_rank(report.entries)
     inverses = {}
     try:
-        mat = _entrywise(report.entries, lambda c: specialize(c, point, inverses))
+        mat = _entrywise(report, lambda c: specialize(c, point, inverses))
     except PoleError as exc:
         raise PoleError(f"Gram entry has a pole at N={point.N}: {exc}") from exc
     return matrix_rank(mat)
 
 
-def _entrywise(entries: list, fn) -> list:
+def _entrywise(report: GramReport, fn) -> list:
     """The matrix of fn(entry), with fn called once per distinct entry, in
-    row-major order of first appearance (End(+^3) has 35 among 576)."""
-    values = {c: fn(c) for c in dict.fromkeys(c for row in entries for c in row)}
-    return [[values[c] for c in row] for row in entries]
+    row-major order of first appearance."""
+    distinct, rows = report.distinct
+    values = [fn(c) for c in distinct]
+    return [[values[k] for k in row] for row in rows]
 
 
 def _rank_mod_p(rows: list, p: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from skeinhc.errors import DomainError, PoleError
-from skeinhc.scalars import GaussianRational, _gauss, _poly_str, _power
+from skeinhc.scalars import GaussianRational, _gauss, _power
 
 _G0 = GaussianRational(0)
 _G1 = GaussianRational(1)
@@ -215,6 +215,24 @@ class LegacyScalarQ:
         if not den:
             raise PoleError(f"denominator vanishes at q = {x}")
         return _peval_gauss(self.num, x) / den
+
+
+def _poly_str(p: tuple) -> str:
+    """The text of a GaussianRational polynomial, highest power first: the
+    renderer ScalarQ used before it printed from its int parts."""
+    terms = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c:
+            mon = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+            cs = f"({c})" if c.re and c.im and mon else str(c)
+            if mon:
+                cs = mon if cs == "1" else f"-{mon}" if cs == "-1" else f"{cs}*{mon}"
+            terms.append(cs)
+    out = terms[0] if terms else "0"
+    for term in terms[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
 
 
 def _scalar(x) -> LegacyScalarQ:

@@ -72,6 +72,18 @@ def test_arithmetic_matches_fraction_kernel(m):
         )
 
 
+@pytest.mark.parametrize("m", ORDERS)
+def test_strings_over_a_denominator_match(m):
+    """str reads the int num and builds a Fraction only when den != 1; a
+    coefficient den/den still prints as z^k."""
+    values = [[Fraction(1, 2), 1, Fraction(1, 3), -1], [Fraction(-3, 4)],
+              [0, Fraction(5, 6), 0, -2], [2, -1, 0, 1], [7], []]
+    for coeffs in values:
+        assert same(CyclotomicValue(m, coeffs), legacy.LegacyCyclotomic(m, coeffs))
+    first = CyclotomicValue(m, values[0])
+    assert first.den == 6 and str(first) == "1/2 + z + 1/3*z^2 - 1*z^3"
+
+
 @pytest.fixture(scope="module")
 def end3_entries():
     report = gram_matrix("+++", "+++")

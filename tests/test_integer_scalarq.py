@@ -23,6 +23,7 @@ from skeinhc.scalars import (
     q_power,
     specialize,
 )
+from skeinhc.scalars import _exponents
 
 
 def gpoly(*coeffs) -> list:
@@ -145,11 +146,69 @@ def test_poles_and_zero_denominators():
 
 def test_shared_denominator_inverses_give_the_same_values():
     entries = [loop_value() ** k * (Q + k) for k in range(-2, 4)] + [q_power(-3), ONE]
+    phi12 = Q ** 4 - Q ** 2 + 1  # vanishes at zeta_12, so N = 3 is a pole
+    others = [ONE / phi12, Q / phi12, (Q + 2) / phi12]
     for N in range(2, 9):
         inverses = {}
         shared = [specialize(f, N, inverses) for f in entries + entries]
         assert shared == [specialize(f, N) for f in entries + entries]
-        assert len(inverses) == 3  # (q^2 - 1)^k for k = 1, 2, 3
+        # q^j (q^2 - 1)^k denominators take no inverse; the one other
+        # denominator is q - 1, from loop_value() * (q + 1) = 2iq/(q - 1)
+        assert list(inverses) == [((-1, 1), ())]
+        inverses = {}
+        if N == 3:
+            for f in others:
+                assert outcome(specialize, f, N, inverses) is PoleError
+            assert inverses == {}
+            continue
+        shared = [specialize(f, N, inverses) for f in others + others]
+        assert shared == [specialize(f, N) for f in others + others]
+        assert list(inverses) == [((1, 0, -1, 0, 1), ())]
+
+
+def family_value(rng, j: int, k: int):
+    """A random Z[i] numerator over q^j (q^2 - 1)^k in both kernels."""
+    z_power = [1]
+    for _ in range(k):
+        z_power = [b - a for a, b in zip([*z_power, 0, 0], [0, 0, *z_power])]
+    den = [GaussianRational(0)] * j + gpoly(*z_power)
+    num = [
+        GaussianRational(rng.randint(-4, 4), rng.choice((0, rng.randint(-4, 4))))
+        for _ in range(rng.randint(1, 2 * k + j + 2))
+    ]
+    return ScalarQ(num, den), LegacyScalarQ(num, den)
+
+
+def test_strings_match_the_fraction_kernel():
+    """str reads the int parts: ints over a lead 1, Fractions over another."""
+    G = GaussianRational
+    fixed = [
+        (0, 1), (1, 1), (-7, 1), (Fraction(-5, 3), 1), (G(0, 1), 1), (G(0, -1), 1),
+        (G(Fraction(1, 2), Fraction(-3, 4)), 1), (G(-2, 1), 1), (1, gpoly(0, 2)),
+        (gpoly(G(1, 1), 0, G(0, -3)), gpoly(0, 2)), (gpoly(1, G(0, 2)), gpoly(3, 0, 6)),
+        (gpoly(G(0, 1), G(-1, 1), G(Fraction(1, 3))), gpoly(G(0, 2), 1)),
+    ]
+    for num, den in fixed:
+        assert same(ScalarQ(num, den), LegacyScalarQ(num, den))
+    assert str(ONE / (2 * Q)) == "1/2/(q)" and str(ScalarQ(0)) == "0"
+    rng = random.Random(18)
+    for j in range(4):
+        for k in range(5):
+            for _ in range(6):
+                assert same(*family_value(rng, j, k))
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_specialize_family_values_matches_horner(N):
+    rng, family = random.Random(N), 0
+    for j in range(4):
+        for k in range(5):
+            for _ in range(3):
+                f, _old = family_value(rng, j, k)
+                family += _exponents(*f._parts[2:]) is not None
+                new, old = specialize(f, N), legacy_cyclotomic.specialize(f, N)
+                assert new.coeffs == old.coeffs and str(new) == str(old)
+    assert family >= 50  # of 60: a numerator vanishing at just one of +-1 leaves
 
 
 coeffs = st.builds(
