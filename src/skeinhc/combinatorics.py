@@ -149,57 +149,30 @@ def count_standard_tableaux(lam: YoungDiagram) -> int:
     """
     lam = as_diagram(lam)
     check_shapes("count_standard_tableaux", lam)
-    return _standard_tableaux(lam)
-
-
-@lru_cache(maxsize=None)
-def _standard_tableaux(lam: YoungDiagram) -> int:
-    if not lam:
-        return 1
-    return sum(_standard_tableaux(mu) for mu in remove_box_results(lam))
+    return _skew_tableaux((), lam)
 
 
 def count_pair_tableaux(mu: YoungDiagram, lam: YoungDiagram) -> int:
     """Number of fillings of lam with 1..|lam| that are standard on mu and
-    standard on the skew part lam/mu (no constraint across the two regions).
+    standard on the skew part lam/mu (no constraint across the two regions):
+    choose the |mu| labels of mu, then fill each region standardly.
 
     Returns 0 when mu is not contained in lam.
     """
     mu, lam = as_diagram(mu), as_diagram(lam)
     check_shapes("count_pair_tableaux", mu, lam)
-    if not contains(mu, lam):
-        return 0
-    full_mu = mu
-    skew_full = tuple(
-        lam[k] - (mu[k] if k < len(mu) else 0) for k in range(len(lam))
+    return comb(size(lam), size(mu)) * _skew_tableaux((), mu) * _skew_tableaux(mu, lam)
+
+
+@lru_cache(maxsize=None)
+def _skew_tableaux(mu: YoungDiagram, lam: YoungDiagram) -> int:
+    """Standard tableaux of the skew shape lam/mu: paths mu -> lam on the
+    Young graph, counted back from lam; 0 unless mu is contained in lam."""
+    if lam == mu:
+        return 1
+    return sum(
+        _skew_tableaux(mu, nu) for nu in remove_box_results(lam) if contains(mu, nu)
     )
-
-    @lru_cache(maxsize=None)
-    def rec(inner: YoungDiagram, skew_filled: tuple) -> int:
-        # inner: the sub-diagram of mu filled so far; skew_filled[k]: boxes
-        # filled so far in row k of lam/mu (a left-justified prefix of it).
-        if inner == full_mu and skew_filled == skew_full:
-            return 1
-        total = 0
-        for nxt in add_box_results(inner):
-            if contains(nxt, full_mu):
-                total += rec(nxt, skew_filled)
-        for k in range(len(lam)):
-            if skew_filled[k] >= skew_full[k]:
-                continue
-            # next open cell of skew row k is at column mu_k + skew_filled[k];
-            # the cell above it (inside lam/mu) must already be filled.
-            col = (full_mu[k] if k < len(full_mu) else 0) + skew_filled[k]
-            if k > 0:
-                mu_above = full_mu[k - 1] if k - 1 < len(full_mu) else 0
-                if col >= mu_above and col - mu_above >= skew_filled[k - 1]:
-                    continue
-            total += rec(
-                inner, skew_filled[:k] + (skew_filled[k] + 1,) + skew_filled[k + 1 :]
-            )
-        return total
-
-    return rec((), tuple(0 for _ in lam))
 
 
 def count_paths_double_young(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ConsistencyError, DomainError, ParityError
+from .errors import DomainError, ParityError
 from .scalars import QIQ
 
 __all__ = [
@@ -357,14 +357,6 @@ def _clifford_sign(s: int, t: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-@lru_cache(maxsize=None)
-def _expand(w: Perm, vmask: int, field) -> dict:
-    """The product h_w c_vmask in the full basis c_s h_w (cached; callers
-    must not mutate the result)."""
-    word = [("t", i) for i in reduced_word(w)]
-    return _lmul_word(word, {(vmask, perm_identity(len(w))): field.one}, field)
-
-
 def normalize_full(letters, n: int, field=QIQ) -> AlgebraElement:
     """Expand a generator word into the full-variant basis c_s h_w."""
     if n < 0:
@@ -515,45 +507,34 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def even_expand(a: AlgebraElement) -> AlgebraElement:
-    """Rewrite an even-variant element in the full basis c_s h_w."""
+    """Rewrite an even-variant element in the full basis c_s h_w: h_w e_s is
+    c_(_e_to_v(s)) left-multiplied by the t letters of w."""
     if a.variant == "full":
         return a
     out: dict = {}
     for (w, emask), c in a.terms.items():
-        for key, cc in _expand(w, _e_to_v(emask), a.field).items():
-            _add_term(out, key, cc * c)
+        word = [("t", i) for i in reduced_word(w)]
+        start = {(_e_to_v(emask), perm_identity(a.n)): c}
+        for key, cc in _lmul_word(word, start, a.field).items():
+            _add_term(out, key, cc)
     return AlgebraElement(a.n, "full", out, a.field)
 
 
 def even_convert(a: AlgebraElement) -> AlgebraElement:
     """Rewrite a full-variant element of even Clifford degree in the basis
-    h_w e_s.  The change of basis is triangular in the braid length: the
-    top-length part of h_w e_s is the single monomial c_{w(s)} h_w.
+    h_w e_s: c_s h_w is e_(_v_to_e(s)) right-multiplied by the t letters of w.
+
+    >>> print(even_convert(normalize_full([("v", 0), ("v", 1)], 2)))
+    (1) * e1
     """
     if a.variant == "even":
         return a
-    residual = dict(a.terms)
     out: dict = {}
-    while residual:
-        top = max(inversions(w) for (_vm, w) in residual)
-        batch = [(vm, w) for (vm, w) in residual if inversions(w) == top]
-        for vm, w in batch:
-            c = residual.get((vm, w))
-            if c is None or c.is_zero:
-                continue
-            winv = perm_inverse(w)
-            tmask = 0
-            for l in _bits(vm):
-                tmask |= 1 << winv[l]
-            emask = _v_to_e(tmask)  # raises ParityError on odd degree
-            expansion = _expand(w, tmask, a.field)
-            gamma = expansion.get((vm, w))
-            if gamma is None or gamma.is_zero:
-                raise ConsistencyError("lost leading term in even conversion")
-            ratio = c / gamma
-            _add_term(out, (w, emask), ratio)
-            for key, cc in expansion.items():
-                _add_term(residual, key, -cc * ratio)
+    for (vmask, w), c in a.terms.items():
+        word = [("t", i) for i in reduced_word(w)]
+        start = {(perm_identity(a.n), _v_to_e(vmask)): c}  # ParityError if odd
+        for key, cc in _rmul_word(start, word, a.field).items():
+            _add_term(out, key, cc)
     return AlgebraElement(a.n, "even", out, a.field)
 
 

@@ -85,14 +85,6 @@ def closure_values(field=QIQ) -> dict:
     }
 
 
-def _unit(n, field):
-    return identity_element(n, "even", field)
-
-
-def _monomial(n, w, emask, field) -> AlgebraElement:
-    return AlgebraElement(n, "even", {(w, emask): field.one}, field)
-
-
 def close_last_strand(x: AlgebraElement) -> AlgebraElement:
     """Partial closure of strand n-1 around the right: an (n-1)-strand element."""
     if x.variant != "even":
@@ -174,7 +166,10 @@ def categorical_trace(hom):
 @lru_cache(maxsize=None)
 def _trace_vector(n, field) -> tuple:
     """The traces of the basis monomials, in basis_keys_even(n) order."""
-    return tuple(markov_trace(_monomial(n, *key, field)) for key in basis_keys_even(n))
+    return tuple(
+        markov_trace(AlgebraElement(n, "even", {key: field.one}, field))
+        for key in basis_keys_even(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +213,8 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
     general signatures compose in the skein layer (sorted targets only).
     Beyond the MAX_GRAM_* bounds this raises DomainError.
     """
-    charge = lambda s: s.count("+") - s.count("-")
-    if charge(s1) != charge(s2):
-        if dim_hom_formula(s1, s2) != 0:
-            raise ConsistencyError("charge mismatch with nonzero dimension")
+    dim = dim_hom_formula(s1, s2)  # 0 exactly when the charges differ
+    if not dim:
         return GramReport(s1, s2, [], [])
     m = (len(s1) + len(s2)) // 2
     plus = s1 == s2 == "+" * m
@@ -243,7 +236,7 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
                 f"over the mixed limit {MAX_GRAM_DOWN_MIXED}"
             )
     basis = basis_keys_even(m)
-    if len(basis) != dim_hom_formula(s1, s2):
+    if len(basis) != dim:
         raise ConsistencyError("basis enumeration disagrees with dimension formula")
     if plus:
         # column k is x -> tau(x theta(b_k)): the trace vector pulled back
@@ -397,7 +390,7 @@ def verify_derived_closures(field=QIQ) -> None:
     any mismatch.  Checks: the inverse-curl value -i = i - (q - q^(-1)) d,
     the vanishing ladder closure, and the mixed closures via cyclicity and
     the quadratic mixed relation."""
-    one1 = _unit(1, field)
+    one1 = identity_element(1, "even", field)
     t = t_element(2, 0, field)
     tinv = t_element(2, 0, field, inverse=True)
     e = e_element(2, 0, field)
@@ -407,7 +400,7 @@ def verify_derived_closures(field=QIQ) -> None:
     checks = [
         (close_last_strand(t), one1.scale(i), "curl"),
         (close_last_strand(tinv), one1.scale(-i), "inverse curl"),
-        (close_last_strand(e), _unit(1, field).scale(field.zero), "ladder closure"),
+        (close_last_strand(e), one1.scale(field.zero), "ladder closure"),
         (close_last_strand(multiply(e, t)), one1.scale(i), "mixed closure et"),
         (close_last_strand(multiply(t, e)), one1.scale(i), "mixed closure te"),
     ]

@@ -262,6 +262,19 @@ def test_gram_mixed_work_bound(capsys, source, target, message):
 
 
 @pytest.mark.parametrize(
+    "source, target",
+    [("+x+x+", "+x+x+"), ("++x", "++x"), ("+", "x")],
+)
+def test_gram_bad_signature_before_the_work_bounds(capsys, source, target):
+    # the hom space is sized first, so a bad letter is named even where the
+    # strand count alone is over a work bound
+    code, out, err = run(capsys, "gram", "--source", source, "--target", target)
+    assert code == 2 and out == ""
+    bad = source if "x" in source else target
+    assert err == f"error: bad signature {bad!r}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("trace", "--n", "3", "--word", "t1 e2 t2'", "--spec", "101"),

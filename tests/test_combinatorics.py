@@ -112,7 +112,8 @@ def test_paths_examples():
 
 
 def test_paths_match_pair_tableaux():
-    for n in range(0, 6):
+    # comb(|lam|, |mu|) * f^mu * f^(lam/mu) against the double Young graph
+    for n in range(0, 9):
         for lam in partitions(n):
             for m in range(0, n + 1):
                 for mu in partitions(m):

@@ -5,9 +5,10 @@ import doctest
 import pytest
 
 import skeinhc.combinatorics
+import skeinhc.hecke_clifford
 import skeinhc.scalars
 
-MODULES = [skeinhc.scalars, skeinhc.combinatorics]
+MODULES = [skeinhc.scalars, skeinhc.combinatorics, skeinhc.hecke_clifford]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
