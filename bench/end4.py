@@ -26,7 +26,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path("src").resolve()))
 
 from skeinhc.combinatorics import rank_oracle  # noqa: E402
-from skeinhc.hecke_clifford import _right_action, basis_keys_even  # noqa: E402
+from skeinhc.hecke_clifford import (  # noqa: E402
+    _ladder_moves,
+    _right_action,
+    basis_keys_even,
+)
 from skeinhc.scalars import QIQ  # noqa: E402
 from skeinhc.trace_gram import (  # noqa: E402
     _close_monomial,
@@ -73,7 +77,7 @@ def main() -> int:
     start = time.perf_counter()
     gram_matrix("++-", "++-")
     entry["gram_mixed3_s"] = time.perf_counter() - start
-    for table in (_close_monomial, _right_action, _trace_vector):
+    for table in (_close_monomial, _ladder_moves, _right_action, _trace_vector):
         table.cache_clear()
     start = time.perf_counter()
     _trace_vector(5, QIQ)

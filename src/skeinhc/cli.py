@@ -182,7 +182,7 @@ def _cmd_tableaux(args) -> int:
 def _cmd_paths(args) -> int:
     start = (_parse_shape(args.start_lam), _parse_shape(args.start_mu))
     end = (_parse_shape(args.end_lam), _parse_shape(args.end_mu))
-    check_shapes("paths", end[0], start[1])  # lam grows into end[0], mu shrinks
+    check_shapes("paths", end[0], start[1], joint=True)  # lam grows, mu shrinks
     print(count_paths_double_young(start, end, args.length))
     return 0
 

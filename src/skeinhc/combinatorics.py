@@ -44,9 +44,9 @@ __all__ = [
 YoungDiagram = tuple  # tuple[int, ...], weakly decreasing positive parts
 
 # Work bounds of the tableau and path counters, which recurse once per box
-# (400 boxes overflowed the stack) and memoise one state per tuple of
-# sub-diagrams of their shapes, at most C(rows + columns, rows) each, at
-# about 40 us a state.
+# (400 boxes overflowed the stack) and memoise one state per sub-diagram of
+# each shape (tableaux) or per tuple of sub-diagrams (paths), at most
+# C(rows + columns, rows) for a shape, at about 40 us a state.
 MAX_SHAPE_BOXES = 200
 MAX_SHAPE_STATES = 20_000  # 0.6 s for the 12,870 of an 8 x 8 square
 
@@ -111,15 +111,18 @@ def remove_box_results(lam: YoungDiagram) -> list[YoungDiagram]:
     return out
 
 
-def check_shapes(command: str, *shapes):
-    """Refuse shapes beyond the work bounds of the counters, before any work."""
+def check_shapes(command: str, *shapes, joint: bool = False):
+    """Refuse shapes beyond the work bounds of the counters, before any work.
+    The states of the shapes add, or multiply when the counter walks them
+    jointly (the path counter)."""
     boxes = sum(map(sum, shapes))
     if boxes > MAX_SHAPE_BOXES:
         raise DomainError(
             f"{command} needs {boxes} boxes, over the limit {MAX_SHAPE_BOXES}"
         )
     # the sub-diagrams of a shape fit in its bounding rectangle
-    states = prod(comb(len(lam) + lam[0], len(lam)) for lam in shapes if lam)
+    counts = [comb(len(lam) + lam[0], len(lam)) for lam in shapes if lam]
+    states = prod(counts) if joint else sum(counts)
     if states > MAX_SHAPE_STATES:
         raise DomainError(
             f"{command} may visit {states} states, over the limit {MAX_SHAPE_STATES}"
@@ -191,7 +194,7 @@ def count_paths_double_young(
     start = (as_diagram(start[0]), as_diagram(start[1]))
     end = (as_diagram(end[0]), as_diagram(end[1]))
     # lam grows into end[0] and mu shrinks from start[1], one box a step
-    check_shapes("count_paths_double_young", end[0], start[1])
+    check_shapes("count_paths_double_young", end[0], start[1], joint=True)
 
     @lru_cache(maxsize=None)
     def rec(state, remaining):

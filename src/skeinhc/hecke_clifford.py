@@ -426,13 +426,13 @@ def _ladder_past_t(k: int, j: int, field) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _right_action(w: Perm, s: int, letter, field) -> tuple:
-    """The (key, c) with h_w e_s * g = sum of c h_u e_r, for g the letter
-    ("t", j), ("t", j, -1) or ("e", j).  g moves left past the ladders of e_s,
-    highest first (e_m e_r = +-e_(m xor r)); a t_j left over then acts on h_w.
-    """
+def _ladder_moves(s: int, letter, field) -> tuple:
+    """e_s * g as terms (b, r, c, cz) meaning c t_j^b e_r, for g the letter
+    ("t", j) or ("e", j), with cz = c z when b = 1 (the descent term of
+    h_w t_j).  g moves left past the ladders of e_s, highest first
+    (e_m e_r = +-e_(m xor r)); the moves do not depend on w."""
     j = letter[1]
-    moved = {(0, 1 << j) if letter[0] == "e" else (1, 0): field.one}  # c t_j^b e_r
+    moved = {(0, 1 << j) if letter[0] == "e" else (1, 0): field.one}
     for k in reversed(_bits(s)):
         step: dict = {}
         for (b, r), c in moved.items():
@@ -441,12 +441,23 @@ def _right_action(w: Perm, s: int, letter, field) -> tuple:
                 sign = _clifford_sign(_e_to_v(m), _e_to_v(r))
                 _add_term(step, (b2, m ^ r), c * f if sign > 0 else -(c * f))
         moved = step
+    return tuple((b, r, c, c * field.z if b else None) for (b, r), c in moved.items())
+
+
+@lru_cache(maxsize=None)
+def _right_action(w: Perm, s: int, letter, field) -> tuple:
+    """The (key, c) with h_w e_s * g = sum of c h_u e_r, for g the letter
+    ("t", j), ("t", j, -1) or ("e", j).  e_s g is rewritten by _ladder_moves
+    (t_j^(-1) shares the moves of t_j); a t_j left over then acts on h_w.
+    """
+    j = letter[1]
     ws = w[:j] + (w[j + 1], w[j]) + w[j + 2 :]
+    descent = w[j] > w[j + 1]
     out: dict = {}
-    for (b, r), c in moved.items():
+    for b, r, c, cz in _ladder_moves(s, letter[:2], field):
         _add_term(out, (ws if b else w, r), c)
-        if b and w[j] > w[j + 1]:  # descent: h_w t_j = h_(w s_j) + z h_w
-            _add_term(out, (w, r), c * field.z)
+        if b and descent:  # h_w t_j = h_(w s_j) + z h_w
+            _add_term(out, (w, r), cz)
     if letter[2:] == (-1,):  # t_j^(-1) = t_j - z
         _add_term(out, (w, s), -field.z)
     return tuple(out.items())

@@ -189,6 +189,8 @@ def hook_length_count(rows):
          comb(200, 100)),
         (("paths", "--end-lam", "5,5,5,5", "--start-mu", "5,5,5,5", "--length", "40"),
          comb(40, 20) * hook_length_count([5] * 4) ** 2),
+        # the skew counter's states add over mu and lam: 70 + 495
+        (("tableaux", "--mu", "4,4,4,4", "--lam", "8,8,8,8"), 346915095471584640),
     ],
 )
 def test_combinatorics_within_the_work_bounds(capsys, argv, expected):

@@ -234,6 +234,8 @@ def test_rank_oracle():
          "count_paths_double_young needs 500 boxes"),
         (lambda: count_standard_tableaux((12,) * 12),
          "count_standard_tableaux may visit 2704156 states"),
+        (lambda: count_pair_tableaux((), (12,) * 12),
+         "count_pair_tableaux may visit 2704156 states"),
     ],
 )
 def test_counters_refuse_shapes_beyond_their_work_bounds(call, message):

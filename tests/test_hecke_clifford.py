@@ -9,9 +9,11 @@ import legacy_even_convert
 from skeinhc.errors import DomainError, ParityError
 from skeinhc.hecke_clifford import (
     AlgebraElement,
+    _action_letter,
     _add_term,
     _lmul_even,
     _lmul_word,
+    _right_action,
     _rmul_word,
     all_perms,
     alpha,
@@ -32,7 +34,7 @@ from skeinhc.hecke_clifford import (
     theta,
     v_element,
 )
-from skeinhc.scalars import ONE, QIQ, q_power
+from skeinhc.scalars import ONE, QIQ, CyclotomicField, q_power, specialize
 
 Z = QIQ.z
 
@@ -314,6 +316,21 @@ def test_even_action_matches_full_basis_products():
             for inverse, g in ((False, t), (True, tinv)):
                 left = AlgebraElement(n, "even", _lmul_even(j, b.terms, Z, inverse))
                 assert left == _full_basis_product(g, b), (key, j, inverse)
+
+
+@pytest.mark.parametrize("N", [3, 8])
+def test_cyclotomic_action_rows_specialize_the_generic_rows(N):
+    # every row for n <= 4 over Q(zeta_4N), key for key and in the same
+    # order, is the image of the row over Q(i)(q) at q = zeta_4N
+    field = CyclotomicField(N)
+    for n in (2, 3, 4):
+        for w, s in basis_keys_even(n):
+            for letter in map(_action_letter, _even_letters(n)):
+                generic = _right_action(w, s, letter, QIQ)
+                images = [(key, specialize(c, N)) for key, c in generic]
+                expected = [(key, c) for key, c in images if not c.is_zero]
+                row = list(_right_action(w, s, letter, field))
+                assert row == expected, (w, s, letter)
 
 
 def test_parity_error_on_odd_conversion():

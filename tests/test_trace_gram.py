@@ -11,6 +11,7 @@ from skeinhc import trace_gram
 from skeinhc.errors import ConsistencyError, DomainError, PoleError
 from skeinhc.hecke_clifford import (
     AlgebraElement,
+    _ladder_moves,
     _right_action,
     basis_keys_even,
     e_element,
@@ -266,6 +267,16 @@ def test_memo_tables_key_fields_by_order():
     assert size > 0
     assert traced(f2) == first
     assert trace_gram._close_monomial.cache_info().currsize == size
+    # the ladder moves under the action rows are keyed the same way
+    _right_action.cache_clear()
+    _ladder_moves.cache_clear()
+    traced(f1)
+    size = _ladder_moves.cache_info().currsize
+    assert size > 0
+    traced(f2)
+    assert _ladder_moves.cache_info().currsize == size
+    traced(CyclotomicField(4))
+    assert _ladder_moves.cache_info().currsize > size
 
 
 def test_startup_checks_retry_after_failure(monkeypatch):
