@@ -270,11 +270,6 @@ def _pos_of_rank(state: _State, r: int) -> int:
 # C) is computed once per signature pair; on +^n <-> +^n C is the identity.
 
 
-def _is_plus_pair(source: str, target: str) -> bool:
-    m = (len(source) + len(target)) // 2
-    return source == target == "+" * m
-
-
 @lru_cache(maxsize=None)
 def _change_of_basis(source: str, target: str):
     """The bent columns of the hom basis (hom key -> algebra terms) and their
@@ -311,8 +306,6 @@ def _change_of_basis(source: str, target: str):
 
 
 def _coords_to_algebra(coeffs: dict, source: str, target: str) -> dict:
-    if _is_plus_pair(source, target):
-        return dict(coeffs)
     columns = _change_of_basis(source, target)[0]
     out: dict = {}
     for key, c in coeffs.items():
@@ -324,7 +317,7 @@ def _coords_to_algebra(coeffs: dict, source: str, target: str) -> dict:
 def _algebra_to_coords(x: AlgebraElement, source: str, target: str) -> dict:
     """Solve C*coords = x: forward through L, then back through U."""
     y = dict(x.terms)
-    if not y or _is_plus_pair(source, target):
+    if not y:
         return y
     factor = _change_of_basis(source, target)[1]
     for key, _, l_col, _ in factor:

@@ -1,8 +1,8 @@
-"""The integer Q(i)(q) kernel agrees exactly with the Fraction-based
-ScalarQ it replaced (kept in ``legacy_scalarq``): the same reduced
-fraction, string, equality, evaluation and specialization on random
+"""The integer Q(i)(q) kernel against reduction mod p (``mod_p``): random
 rational functions, including non-monomial denominators, Gaussian and
-negative leading coefficients, cancelling common factors and poles."""
+negative leading coefficients, cancelling common factors and poles, keep
+their residues under arithmetic, evaluation and specialization, and every
+result is in the reduced form of `_canonical`."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import legacy_cyclotomic
-from legacy_scalarq import LegacyScalarQ, _pmul
+from mod_p import (
+    POINTS,
+    assert_canonical,
+    check_specialize,
+    fraction_residues,
+    gauss_residue,
+    residues,
+)
 from skeinhc.errors import DomainError, PoleError
 from skeinhc.scalars import (
     ONE,
@@ -21,17 +27,14 @@ from skeinhc.scalars import (
     loop_value,
     parse_scalar,
     q_power,
+    residue,
     specialize,
 )
-from skeinhc.scalars import _exponents
+from skeinhc.scalars import _exponents, _gmul
 
 
 def gpoly(*coeffs) -> list:
     return [GaussianRational(c) if isinstance(c, int) else c for c in coeffs]
-
-
-def same(new: ScalarQ, old: LegacyScalarQ) -> bool:
-    return new.num == old.num and new.den == old.den and str(new) == str(old)
 
 
 def outcome(fn, *args):
@@ -55,90 +58,130 @@ def rand_poly(rng, max_len=4) -> list:
     return [rand_coeff(rng) for _ in range(rng.randint(1, max_len))]
 
 
-def rand_pair(rng):
-    """A random rational function in both kernels, from the same coefficients."""
-    num = rand_poly(rng)
-    den = rand_poly(rng)
+def times(a: list, b: list) -> list:
+    """The product of two GaussianRational coefficient lists."""
+    out = [GaussianRational(0)] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return out
+
+
+def build(num: list, den: list) -> ScalarQ:
+    """ScalarQ(num, den), checked against the residues of num/den."""
+    value = ScalarQ(num, den)
+    assert_canonical(value)
+    assert matches(value, fraction_residues(num, den))
+    return value
+
+
+def rand_value(rng) -> ScalarQ:
+    num, den = rand_poly(rng), rand_poly(rng)
     while not any(den):
         den = rand_poly(rng)
     if rng.random() < 0.4:  # a common factor that the reduction must cancel
         factor = rand_poly(rng, 3)
         if any(factor):
-            num, den = list(_pmul(num, factor)), list(_pmul(den, factor))
+            num, den = times(num, factor), times(den, factor)
     if rng.random() < 0.3:  # a common power of q
-        k = rng.randint(1, 3)
-        num = [GaussianRational(0)] * k + num
-        den = [GaussianRational(0)] * k + den
-    return ScalarQ(num, den), LegacyScalarQ(num, den)
+        pad = [GaussianRational(0)] * rng.randint(1, 3)
+        num, den = pad + num, pad + den
+    return build(num, den)
 
 
-def check_ops(a, a_old, b, b_old, k):
-    assert same(a, a_old) and same(b, b_old)
-    assert same(a + b, a_old + b_old)
-    assert same(a - b, a_old - b_old)
-    assert same(a * b, a_old * b_old)
-    assert same(-a, -a_old)
-    assert same(a + 2, a_old + 2) and same(3 - a, 3 - a_old)
-    assert same(a * GaussianRational(1, -2), a_old * GaussianRational(1, -2))
-    if b_old:
-        assert same(a / b, a_old / b_old)
-        assert same(b.inv(), b_old.inv())
-        assert same(b ** k, b_old ** k)
+def lift(op, *rs) -> list:
+    """op(*residues, p, i) at each of POINTS, None where a residue is None."""
+    return [None if None in r else op(*r, p, i) for *r, (p, _, i) in zip(*rs, POINTS)]
+
+
+def matches(value, want) -> bool:
+    """value's residues equal want wherever want is defined."""
+    return all(w is None or r == w for r, w in zip(residues(value), want))
+
+
+def check_ops(a, b, k):
+    """Equal values built two ways take one form; every result is canonical
+    and keeps the residues of its operands."""
+    assert (a + b) - b == a and a * b == b * a
+    ra, rb = residues(a), residues(b)
+    cases = [
+        (a + b, lift(lambda x, y, p, i: (x + y) % p, ra, rb)),
+        (a - b, lift(lambda x, y, p, i: (x - y) % p, ra, rb)),
+        (a * b, lift(lambda x, y, p, i: x * y % p, ra, rb)),
+        (-a, lift(lambda x, p, i: -x % p, ra)),
+        (3 - a, lift(lambda x, p, i: (3 - x) % p, ra)),
+        (a * GaussianRational(1, -2), lift(lambda x, p, i: x * (1 - 2 * i) % p, ra)),
+    ]
+    if b:
+        assert (a * b) / b == a
+        nonzero = [None if y == 0 else y for y in rb]
+        cases += [
+            (a / b, lift(lambda x, y, p, i: x * pow(y, -1, p) % p, ra, nonzero)),
+            (b.inv(), lift(lambda y, p, i: pow(y, -1, p), nonzero)),
+            (b ** k, lift(lambda y, p, i: pow(y, k, p), nonzero if k < 0 else rb)),
+        ]
     else:
         with pytest.raises(DomainError):
             a / b
-    assert (a == b) == (a_old == b_old)
-    assert (a == a + 0) and hash(a) == hash(a + 0) == hash(ScalarQ(a.num, a.den))
-    assert a.is_zero == a_old.is_zero and bool(a) == bool(a_old)
+    for value, want in cases:
+        assert_canonical(value)
+        assert matches(value, want)
+    assert (a == b) == (ra == rb)
+    assert hash(a) == hash(a + 0) == hash(ScalarQ(a.num, a.den))
+    assert a.is_zero == (not a) == all(r == 0 for r in ra)
 
 
 def test_random_arithmetic_matches_fraction_kernel():
+    """Sums, products, quotients, inverses, powers and negations of values
+    built from Fraction coefficients keep their residues."""
     rng = random.Random(2024)
     for _ in range(300):
-        a, a_old = rand_pair(rng)
-        b, b_old = rand_pair(rng)
-        check_ops(a, a_old, b, b_old, rng.randint(-3, 3))
+        check_ops(rand_value(rng), rand_value(rng), rng.randint(-3, 3))
+
+
+def check_eval(a, x):
+    """a.eval_at(x) reduces to a's residue at q = x, for both square roots
+    of -1; a PoleError exactly where the residue has a pole."""
+    value = outcome(a.eval_at, x)
+    p, _, i = POINTS[0]
+    for s in (i, p - i):
+        want = residue(a, p, gauss_residue(x, p, s), s, {})
+        if value is PoleError:
+            assert want is None
+        else:
+            assert gauss_residue(value, p, s) == want
 
 
 def test_random_evaluation_specialization_and_parsing_match():
     rng = random.Random(7)
     for _ in range(150):
-        a, a_old = rand_pair(rng)
+        a = rand_value(rng)
         assert parse_scalar(str(a)) == a
         x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         if rng.random() < 0.5:
             x = GaussianRational(x, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        assert outcome(a.eval_at, x) == outcome(a_old.eval_at, x)
-        N = rng.randint(2, 8)
-        new = outcome(specialize, a, N)
-        old = outcome(legacy_cyclotomic.specialize, a_old, N)
-        if isinstance(old, type):
-            assert new is old
-        else:
-            assert new.order == old.order and new.coeffs == old.coeffs
+        check_eval(a, x)
+        check_specialize(a, rng.randint(2, 8))
 
 
 def test_cancellation_and_canonical_form():
     a = (Q ** 3 - Q) / (Q ** 2 - 1)
     assert a == Q and hash(a) == hash(Q) and str(a) == "q"
-    num, den = gpoly(-1, 0, 1), [GaussianRational(0, -2), GaussianRational(0, 2)]
-    b, b_old = ScalarQ(num, den), LegacyScalarQ(num, den)  # (q^2 - 1)/(2i(q - 1))
-    assert same(b, b_old) and str(b) == "-1/2*i*q - 1/2*i"
-    num, den = gpoly(1, 2), gpoly(-3, 0, -6)  # a negative leading coefficient
-    c = ScalarQ(num, den)
-    assert same(c, LegacyScalarQ(num, den))
-    assert str(c) == "(-1/3*q - 1/6)/(q^2 + 1/2)"
+    b = ScalarQ(gpoly(-1, 0, 1), [GaussianRational(0, -2), GaussianRational(0, 2)])
+    assert b == (Q + 1) / (2 * GaussianRational(0, 1))  # (q^2 - 1)/(2i(q - 1))
+    assert str(b) == "-1/2*i*q - 1/2*i"
+    c = ScalarQ(gpoly(1, 2), gpoly(-3, 0, -6))  # a negative leading coefficient
+    assert c == (2 * Q + 1) / (-6 * Q ** 2 - 3) and str(c) == "(-1/3*q - 1/6)/(q^2 + 1/2)"
+    for x in (a, b, c):
+        assert_canonical(x)
     assert ScalarQ([0, 0], [0, 5]) == 0 and str(ScalarQ([], [2])) == "0"
 
 
 def test_poles_and_zero_denominators():
     f = ONE / (Q - 1)
     assert outcome(f.eval_at, 1) is PoleError
-    assert outcome(LegacyScalarQ(1, gpoly(-1, 1)).eval_at, 1) is PoleError
     g = ONE / (Q ** 4 + 1)
     assert outcome(specialize, g, 2) is PoleError
-    g_old = LegacyScalarQ(1, gpoly(1, 0, 0, 0, 1))
-    assert outcome(legacy_cyclotomic.specialize, g_old, 2) is PoleError
     assert outcome(ScalarQ, 1, 0) is DomainError
     assert outcome(ONE.__truediv__, ScalarQ(0)) is DomainError
     assert outcome(lambda: ScalarQ(0) ** -1) is DomainError
@@ -166,48 +209,55 @@ def test_shared_denominator_inverses_give_the_same_values():
         assert list(inverses) == [((1, 0, -1, 0, 1), ())]
 
 
-def family_value(rng, j: int, k: int):
-    """A random Z[i] numerator over q^j (q^2 - 1)^k in both kernels."""
-    z_power = [1]
+def family_value(rng, j: int, k: int) -> ScalarQ:
+    """A random Z[i] numerator over q^j (q^2 - 1)^k."""
+    den = (0,) * j + (1,)
     for _ in range(k):
-        z_power = [b - a for a, b in zip([*z_power, 0, 0], [0, 0, *z_power])]
-    den = [GaussianRational(0)] * j + gpoly(*z_power)
+        den = _gmul(den, (), (-1, 0, 1), ())[0]
     num = [
         GaussianRational(rng.randint(-4, 4), rng.choice((0, rng.randint(-4, 4))))
         for _ in range(rng.randint(1, 2 * k + j + 2))
     ]
-    return ScalarQ(num, den), LegacyScalarQ(num, den)
+    return build(num, list(den))
 
 
 def test_strings_match_the_fraction_kernel():
-    """str reads the int parts: ints over a lead 1, Fractions over another."""
+    """str reads the int parts: ints over a lead 1, Fractions over another;
+    parse_scalar reads every string back to the same value."""
     G = GaussianRational
-    fixed = [
-        (0, 1), (1, 1), (-7, 1), (Fraction(-5, 3), 1), (G(0, 1), 1), (G(0, -1), 1),
-        (G(Fraction(1, 2), Fraction(-3, 4)), 1), (G(-2, 1), 1), (1, gpoly(0, 2)),
-        (gpoly(G(1, 1), 0, G(0, -3)), gpoly(0, 2)), (gpoly(1, G(0, 2)), gpoly(3, 0, 6)),
-        (gpoly(G(0, 1), G(-1, 1), G(Fraction(1, 3))), gpoly(G(0, 2), 1)),
-    ]
-    for num, den in fixed:
-        assert same(ScalarQ(num, den), LegacyScalarQ(num, den))
+    fixed = {
+        "0": (0, 1), "1": (1, 1), "-7": (-7, 1), "-5/3": (Fraction(-5, 3), 1),
+        "i": (G(0, 1), 1), "-i": (G(0, -1), 1),
+        "1/2 - 3/4*i": (G(Fraction(1, 2), Fraction(-3, 4)), 1), "-2 + i": (G(-2, 1), 1),
+        "1/2/(q)": (1, gpoly(0, 2)),
+        "(-3/2*i*q^2 + 1/2 + 1/2*i)/(q)": (gpoly(G(1, 1), 0, G(0, -3)), gpoly(0, 2)),
+        "(1/3*i*q + 1/6)/(q^2 + 1/2)": (gpoly(1, G(0, 2)), gpoly(3, 0, 6)),
+        "(1/3*q^2 + (-1 + i)*q + i)/(q + 2*i)":
+            (gpoly(G(0, 1), G(-1, 1), G(Fraction(1, 3))), gpoly(G(0, 2), 1)),
+    }
+    for text, (num, den) in fixed.items():
+        value = ScalarQ(num, den)
+        assert str(value) == text and parse_scalar(text) == value
     assert str(ONE / (2 * Q)) == "1/2/(q)" and str(ScalarQ(0)) == "0"
     rng = random.Random(18)
     for j in range(4):
         for k in range(5):
             for _ in range(6):
-                assert same(*family_value(rng, j, k))
+                value = family_value(rng, j, k)  # checked by build
+                assert parse_scalar(str(value)) == value
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_specialize_family_values_matches_horner(N):
+    """The images at zeta_4N of values over q^j (q^2 - 1)^k, against the
+    Horner residues of `residue` at every embedding."""
     rng, family = random.Random(N), 0
     for j in range(4):
         for k in range(5):
             for _ in range(3):
-                f, _old = family_value(rng, j, k)
+                f = family_value(rng, j, k)
                 family += _exponents(*f._parts[2:]) is not None
-                new, old = specialize(f, N), legacy_cyclotomic.specialize(f, N)
-                assert new.coeffs == old.coeffs and str(new) == str(old)
+                check_specialize(f, N)
     assert family >= 50  # of 60: a numerator vanishing at just one of +-1 leaves
 
 
@@ -223,20 +273,14 @@ nonzero_polys = polys.filter(any)
 @settings(max_examples=100, deadline=None)
 @given(polys, nonzero_polys, polys, nonzero_polys, nonzero_polys, st.integers(-3, 3))
 def test_hypothesis_arithmetic_matches(an, ad, bn, bd, factor, k):
-    a, a_old = ScalarQ(an, ad), LegacyScalarQ(an, ad)
-    b_num, b_den = _pmul(bn, factor), _pmul(bd, factor)
-    b, b_old = ScalarQ(b_num, b_den), LegacyScalarQ(b_num, b_den)
-    check_ops(a, a_old, b, b_old, k)
+    a = build(an, ad)
+    b = build(times(bn, factor) if bn else bn, times(bd, factor))
+    check_ops(a, b, k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(polys, nonzero_polys, st.fractions(-4, 4, max_denominator=5), st.integers(2, 8))
 def test_hypothesis_evaluation_matches(num, den, x, N):
-    a, a_old = ScalarQ(num, den), LegacyScalarQ(num, den)
-    assert outcome(a.eval_at, x) == outcome(a_old.eval_at, x)
-    new = outcome(specialize, a, N)
-    old = outcome(legacy_cyclotomic.specialize, a_old, N)
-    if isinstance(old, type):
-        assert new is old
-    else:
-        assert new.coeffs == old.coeffs
+    a = build(num, den)
+    check_eval(a, x)
+    check_specialize(a, N)

@@ -36,6 +36,7 @@ from skeinhc.skein import (
     straighten,
 )
 from skeinhc.trace_gram import categorical_trace, markov_trace
+from skeinhc.verify import _shift
 
 D = QIQ.loop
 Z = QIQ.z
@@ -341,6 +342,20 @@ def test_tensor():
     assert unit.tensor(t_hom()) == t_hom()
     mixed = identity_hom("+-").tensor(identity_hom(""))
     assert mixed == identity_hom("+-")
+
+
+@pytest.mark.parametrize(
+    "left, right", [("+", "+-"), ("++", "-"), ("++", "+-")], ids=["+,+-", "++,-", "++,+-"]
+)
+def test_tensor_of_an_all_plus_factor_multiplies_the_bent_elements(left, right):
+    # with an all-plus left factor and sorted right signatures, bending
+    # carries the tensor product to the product of the shifted bent elements
+    rng = random.Random(left + right)
+    for _ in range(3):
+        f, g = _random_hom(left, left, rng), _random_hom(right, right, rng)
+        nf, n = f.strand_count, f.strand_count + g.strand_count
+        expected = multiply(_shift(f.bend(), 0, n), _shift(g.bend(), nf, n))
+        assert f.tensor(g).bend() == expected
 
 
 def test_tensor_then_trace_multiplicative():

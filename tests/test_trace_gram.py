@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import legacy_closure
 from skeinhc import trace_gram
 from skeinhc.errors import ConsistencyError, DomainError, PoleError
 from skeinhc.hecke_clifford import (
@@ -37,6 +36,7 @@ from skeinhc.scalars import (
 )
 from skeinhc.trace_gram import (
     GramReport,
+    closure_values,
     close_last_strand,
     gram_matrix,
     gram_rank,
@@ -45,29 +45,20 @@ from skeinhc.trace_gram import (
     matrix_rank,
     verify_derived_closures,
 )
+from skeinhc.verify import _shift
 
 D = QIQ.loop
 Z = QIQ.z
 
 
-def rand_even(n, rng, k=5):
+def rand_even(n, rng, k=5, field=QIQ):
     letters = []
-    for _ in range(rng.randint(1, k)):
+    for _ in range(rng.randint(1, k) if n > 1 else 0):
         if rng.random() < 0.6:
             letters.append(("t", rng.randrange(n - 1), rng.choice([1, -1])))
         else:
             letters.append(("e", rng.randrange(n - 1)))
-    return normalize(letters, n)
-
-
-def shift(x, off, n_new):
-    out = {}
-    for (w, emask), c in x.terms.items():
-        wn = list(range(n_new))
-        for k, v in enumerate(w):
-            wn[k + off] = v + off
-        out[(tuple(wn), emask << off)] = c
-    return AlgebraElement(n_new, "even", out, x.field)
+    return normalize(letters, n, field)
 
 
 def test_derived_closures():
@@ -81,10 +72,27 @@ def test_derived_closures():
 
 @pytest.mark.parametrize("field", [QIQ, CyclotomicField(3)], ids=["QIQ", "zeta12"])
 def test_close_monomial_matches_sandwich_oracle(field):
-    for n in range(1, 6):
-        for w, emask in basis_keys_even(n):
-            want = legacy_closure.close_monomial(n, w, emask, field)
-            assert trace_gram._close_monomial(n, w, emask, field) == want, (w, emask)
+    """Closing the last strand is a bimodule map: a sandwich a * L * b with
+    a, b off the last strand closes to value(L) * a * b, for L the unit,
+    t_g, t_g^(-1), e_g and t_g e_g (g = n - 2)."""
+    values = closure_values(field)
+    rng = random.Random(43)
+    for n in range(2, 6):
+        g = n - 2
+        t, e = t_element(n, g, field), e_element(n, g, field)
+        labels = [
+            (identity_element(n, "even", field), values["loop"]),
+            (t, values["curl"]),
+            (t_element(n, g, field, inverse=True), values["curl_inverse"]),
+            (e, values["ladder_closure"]),
+            (multiply(t, e), values["mixed_closure"]),
+        ]
+        for _ in range(8):
+            a, b = (rand_even(n - 1, rng, 5, field) for _ in range(2))
+            ab = multiply(a, b)
+            for label, value in labels:
+                sandwich = multiply(multiply(_shift(a, 0, n), label), _shift(b, 0, n))
+                assert close_last_strand(sandwich) == ab.scale(value), (n, value)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -128,7 +136,7 @@ def test_tensor_multiplicativity():
     rng = random.Random(23)
     for _ in range(15):
         a, b = rand_even(2, rng, 4), rand_even(2, rng, 4)
-        ab = multiply(shift(a, 0, 4), shift(b, 2, 4))
+        ab = multiply(_shift(a, 0, 4), _shift(b, 2, 4))
         assert markov_trace(ab) == markov_trace(a) * markov_trace(b)
 
 
