@@ -52,6 +52,16 @@ MUTANTS = [
     ("_close_monomial without its psi sign flip", "trace_gram.py",
      "        coeff = -coeff\n",
      "        coeff = coeff\n"),
+    ("the command dispatch without the leftover-arguments error", "cli.py",
+     "    if extras:\n        parser.error(",
+     "    if False:\n        parser.error("),
+    ("ScalarQ.__neg__ dropping the carried exponents", "scalars.py",
+     "        return _new((*neg, dr, di), self._jk)\n",
+     "        return _new((*neg, dr, di), None)\n"),
+    ("_rmul_word keeping a term that cancelled to zero", "hecke_clifford.py",
+     "                    if c.is_zero:\n                        del out[key]\n"
+     "                    else:\n",
+     "                    if True:\n"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",

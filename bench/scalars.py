@@ -5,8 +5,9 @@ specialization, for a BENCH_*.json entry.
 
 Run from the root of a checkout; the package is imported from ./src, so the
 same script times any checkout that has the private helpers it reads
-(``_canonical``, ``_gmul``, ``_comb``, ``_right_action``,
-``CyclotomicField._image``).  The operand mix is fixed and seeded:
+(``_canonical``, ``_gmul``, ``_comb``, ``_exponents``, ``ScalarQ._jk``,
+``_right_action``, ``CyclotomicField._image``).  The operand mix is fixed
+and seeded:
 
 * action coefficients: every coefficient of the ``_right_action`` rows of
   t_j, t_j^(-1) and e_j on the even basis of 4 strands (mostly 1 and -1);
@@ -23,9 +24,11 @@ prints every state, and ``specialize`` sends every state, and separately
 every state over q^j (q^2 - 1)^k with k > 0, to q = zeta_32 (N = 8), with no
 inverses shared between calls, as in ``trace --spec``.  Each list is timed
 REPEATS times and the fastest run is kept.  Every product, sum and negation
-is then compared with ``_canonical`` applied to the unreduced parts; every
-string with ``parse_scalar`` of it and with the text of the ``num`` and
-``den`` GaussianRational coefficients; every image with the image of the
+is then compared with ``_canonical`` applied to the unreduced parts, and
+its carried exponents ``_jk`` with ``_exponents`` of its denominator (as
+are those of every parsed string); every string with ``parse_scalar`` of
+it and with the text of the ``num`` and ``den`` GaussianRational
+coefficients; every image with the image of the
 numerator times the ``CyclotomicValue.inv`` of the image of the
 denominator.  The script exits 1 on any mismatch.  The entry is merged into
 --out under --key; other keys in the file are kept.
@@ -50,6 +53,7 @@ from skeinhc.scalars import (  # noqa: E402
     ScalarQ,
     _canonical,
     _comb,
+    _exponents,
     _gmul,
     loop_value,
     parse_scalar,
@@ -187,8 +191,13 @@ def main() -> int:
         for (a, b), result in zip(operand_pairs, results)
     )
     distinct = dict(zip(states, texts))
+    parsed = {s: parse_scalar(text) for s, text in distinct.items()}
     text_mismatches = sum(
-        text != gaussian_text(s) or parse_scalar(text) != s for s, text in distinct.items()
+        text != gaussian_text(s) or parsed[s] != s for s, text in distinct.items()
+    )
+    exponent_mismatches = sum(
+        x._jk != _exponents(*x._parts[2:])
+        for x in [*products, *sums, *negations, *parsed.values()]
     )
     field = CyclotomicField(SPEC_N)
     quotients = {s: quotient_image(s, field) for s in distinct}
@@ -197,7 +206,7 @@ def main() -> int:
         for values, results in ((states, images), (family, family_images))
         for s, image in zip(values, results)
     )
-    mismatches = arithmetic + text_mismatches + image_mismatches
+    mismatches = arithmetic + exponent_mismatches + text_mismatches + image_mismatches
     units = sum(c in (1, -1) for c in actions)
     entry = {
         "layer": "scalar arithmetic",
@@ -211,6 +220,7 @@ def main() -> int:
         "str": {"ops": len(states), "seconds": str_s, "mismatches": text_mismatches},
         "specialize": {"N": SPEC_N, "ops": len(states), "seconds": spec_s},
         "specialize_family": {"N": SPEC_N, "ops": len(family), "seconds": family_s},
+        "exponent_mismatches": exponent_mismatches,
         "mismatches": mismatches,
     }
     print(json.dumps(entry), file=sys.stderr)

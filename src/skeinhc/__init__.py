@@ -5,7 +5,7 @@ combinatorics (Young-diagram path counting and dimension oracles),
 hecke_clifford (normal forms in the strand algebras and their even parts),
 skein (diagram words, straightening, bending), trace_gram (Markov trace,
 Gram matrices and ranks), verify (named invariant suites), cli (the
-batch command-line interface).
+batch command-line interface), records (the small value classes).
 """
 
 from importlib import import_module

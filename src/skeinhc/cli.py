@@ -55,6 +55,7 @@ def _build_parser() -> _Parser:
     state (argparse copies the ``append`` default before each append)."""
     parser = _Parser(prog="skeinhc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # the subparser of each command, by name
 
     p = sub.add_parser("dims", help="hom-space dimension for two signatures")
     p.add_argument("source")
@@ -287,10 +288,24 @@ _COMMANDS = {
 }
 
 
+def _parse(parser: _Parser, argv: list):
+    """parser.parse_args(argv), with a known command parsed by its own
+    subparser: the top-level parser would hand it every argument after the
+    command name anyway, and report the ones it leaves over."""
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:  # no command first: -h, --, an unknown name
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

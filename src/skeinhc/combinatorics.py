@@ -15,11 +15,11 @@ add a box to the first coordinate or remove one from the second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 
 from .errors import ConsistencyError, DomainError
+from .records import FrozenRecord
 
 __all__ = [
     "YoungDiagram",
@@ -213,15 +213,13 @@ def count_paths_double_young(
     return rec(start, length)
 
 
-@dataclass(frozen=True)
-class YoungPair:
+class YoungPair(FrozenRecord):
     """A pair (lam, mu) of diagrams encoding a dominant integral GL(N) weight."""
 
-    lam: YoungDiagram
-    mu: YoungDiagram
-    N: int
+    _fields = ("lam", "mu", "N")
 
-    def __post_init__(self):
+    def __init__(self, lam: YoungDiagram, mu: YoungDiagram, N: int):
+        self._set(lam=lam, mu=mu, N=N)
         if len(self.lam) + len(self.mu) > self.N:
             raise DomainError(
                 f"pair ({self.lam}, {self.mu}) needs more than {self.N} rows"

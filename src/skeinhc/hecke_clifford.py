@@ -464,12 +464,30 @@ def _right_action(w: Perm, s: int, letter, field) -> tuple:
 
 
 def _rmul_word(terms: dict, word, field) -> dict:
-    """Right-multiply an even-variant term dict by the letters of word."""
+    """Right-multiply an even-variant term dict by the letters of word.
+
+    Each product goes into the output dict in place; a factor that is the
+    object field.one is not multiplied by, and a sum that cancels leaves no
+    term."""
+    one = field.one
     for letter in word:
         out: dict = {}
+        get = out.get
         for (w, s), coeff in terms.items():
             for key, c in _right_action(w, s, letter, field):
-                _add_term(out, key, coeff * c)
+                if c is one:
+                    c = coeff
+                elif coeff is not one:
+                    c = coeff * c
+                old = get(key)
+                if old is None:
+                    out[key] = c
+                else:
+                    c = old + c
+                    if c.is_zero:
+                        del out[key]
+                    else:
+                        out[key] = c
         terms = out
     return terms
 

@@ -25,12 +25,12 @@ True
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ConsistencyError, DomainError, PoleError
+from .records import FrozenRecord
 
 __all__ = [
     "GaussianRational",
@@ -285,18 +285,15 @@ def _z_power(k: int) -> tuple:
     return (1,) if k == 0 else tuple(_polymul(_z_power(k - 1), (-1, 0, 1)))
 
 
-_DENOMINATORS: dict = {}  # (j, k) of each q^j (q^2 - 1)^k met, and nothing else
-
-
 def _exponents(dr: tuple, di: tuple):
     """(j, k) if dr + i*di is q^j (q^2 - 1)^k, else None."""
-    jk = None if di else _DENOMINATORS.get(dr)
-    if jk is None and not di and dr[-1] == 1:
-        j = _low(dr)
-        k, odd = divmod(len(dr) - 1 - j, 2)
-        if not odd and dr[j] == (-1) ** k and dr[j:] == _z_power(k):
-            jk = _DENOMINATORS[dr] = j, k
-    return jk
+    if di or dr[-1] != 1:
+        return None
+    j = _low(dr)
+    k, odd = divmod(len(dr) - 1 - j, 2)
+    if not odd and dr[j] == (-1) ** k and dr[j:] == _z_power(k):
+        return j, k
+    return None
 
 
 def _over_z(p: tuple) -> tuple:
@@ -334,7 +331,7 @@ def _family(nr: tuple, ni: tuple, j: int, k: int) -> ScalarQ:
                 return ScalarQ(_parts=(nr, ni, (0,) * j + _z_power(k), ()))
             break
         nr, ni, k = _over_z(nr), _over_z(ni), k - 1
-    return _new((nr, ni, (0,) * j + _z_power(k), ()))
+    return _new((nr, ni, (0,) * j + _z_power(k), ()), (j, k))
 
 
 _PLUS_ONE, _MINUS_ONE = ((1,), (), (1,), ()), ((-1,), (), (1,), ())
@@ -347,9 +344,11 @@ class ScalarQ:
     in the form of `_canonical`, so two ScalarQ values are equal as
     functions iff they are structurally equal.  ``num`` and ``den`` give
     the reduced fraction with a monic denominator as GaussianRational tuples.
+    ``_jk`` is `_exponents` of the denominator: (j, k) for q^j (q^2 - 1)^k,
+    else None.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_jk")
 
     def __init__(self, num=(), den=(_G1,), _parts=None):
         if _parts is None:
@@ -361,7 +360,8 @@ class ScalarQ:
                 for p in (num, den)
                 for part in ([c.re for c in p], [c.im for c in p])
             )
-        self._parts = _canonical(*_parts)
+        self._parts = parts = _canonical(*_parts)
+        self._jk = _exponents(parts[2], parts[3])
 
     def _poly(self, re, im) -> tuple:
         lead, n = self._parts[2][-1], max(len(re), len(im))
@@ -377,12 +377,13 @@ class ScalarQ:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other, sign=1):
         nr, ni, dr, di = self._parts
-        onr, oni, odr, odi = _scalar(other)._parts
-        jk = _exponents(dr, di)
+        other = _scalar(other)
+        onr, oni, odr, odi = other._parts
+        jk = self._jk
         if dr == odr and di == odi:
             num = _comb(1, nr, sign, onr), _comb(1, ni, sign, oni)
             return _family(*num, *jk) if jk else ScalarQ(_parts=(*num, dr, di))
-        ojk = jk and _exponents(odr, odi)
+        ojk = jk and other._jk
         if ojk:  # over q^max(j) (q^2 - 1)^max(k)
             (j, k), (oj, ok) = jk, ojk
             mj, mk = max(j, oj), max(k, ok)
@@ -411,13 +412,13 @@ class ScalarQ:
         if other._parts == _MINUS_ONE:
             return -self
         onr, oni, odr, odi = other._parts
+        jk, ojk = self._jk, other._jk
         if invert:
             if not (onr or oni):
                 raise DomainError("division by zero scalar")
             onr, oni, odr, odi = odr, odi, onr, oni
-        jk = _exponents(dr, di)
-        ojk = jk and _exponents(odr, odi)
-        if ojk:
+            ojk = jk and _exponents(odr, odi)
+        if jk and ojk:
             return _family(*_gmul(nr, ni, onr, oni), jk[0] + ojk[0], jk[1] + ojk[1])
         return ScalarQ(_parts=(*_gmul(nr, ni, onr, oni), *_gmul(dr, di, odr, odi)))
 
@@ -431,7 +432,8 @@ class ScalarQ:
 
     def __neg__(self):
         nr, ni, dr, di = self._parts
-        return _new((tuple([-c for c in nr]), tuple([-c for c in ni]), dr, di))
+        neg = tuple([-c for c in nr]), tuple([-c for c in ni])
+        return _new((*neg, dr, di), self._jk)
 
     def __pow__(self, k: int):
         return _power(self, k, ONE)
@@ -509,10 +511,12 @@ def _power(x, k: int, one):
     return out
 
 
-def _new(parts: tuple) -> ScalarQ:
-    """A ScalarQ on parts already in the form of `_canonical`."""
+def _new(parts: tuple, jk) -> ScalarQ:
+    """A ScalarQ on parts already in the form of `_canonical`, whose
+    denominator has the exponents jk (see `_exponents`)."""
     x = object.__new__(ScalarQ)
     x._parts = parts
+    x._jk = jk
     return x
 
 
@@ -764,14 +768,14 @@ class CyclotomicValue:
 # Specialization points and field adapters.
 
 
-@dataclass(frozen=True)
-class SpecializationPoint:
+class SpecializationPoint(FrozenRecord):
     """The evaluation q -> exp(2*pi*i/(4N)), a primitive 4N-th root with q^N = i."""
 
-    N: int
+    _fields = ("N",)
     MAX_N = 100  # the field keeps all 4N reduced powers of zeta; goldens use N <= 8
 
-    def __post_init__(self):
+    def __init__(self, N: int):
+        self._set(N=N)
         if not 2 <= self.N <= self.MAX_N:
             raise DomainError(f"specialization points require 2 <= N <= {self.MAX_N}")
 
@@ -876,7 +880,7 @@ def specialize(
     v = min(_low(dr), _low(di))
     if len(dr) == v + 1:  # L * q^v
         return CyclotomicValue(m, field._image(nr, ni, -v), dr[-1])
-    jk = _exponents(dr, di)
+    jk = f._jk
     if jk:  # q^(j + k) z^k
         num = CyclotomicValue(m, field._image(nr, ni, -jk[0] - jk[1]), 1)
         return num * field.z_inverse(jk[1])

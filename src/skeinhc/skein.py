@@ -21,10 +21,10 @@ no loss of generality since every hom space has a sorted representative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
+from .records import FrozenRecord
 from .hecke_clifford import (
     AlgebraElement,
     _add_term,
@@ -62,26 +62,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Crossing:
-    index: int  # 0-based position of the left strand
-    positive: bool = True
+class Crossing(FrozenRecord):
+    _fields = ("index", "positive")
+
+    def __init__(self, index: int, positive: bool = True):
+        # index: the 0-based position of the left strand
+        self._set(index=index, positive=positive)
 
 
-@dataclass(frozen=True)
-class Ladder:
-    index: int
+class Ladder(FrozenRecord):
+    _fields = ("index",)
+
+    def __init__(self, index: int):
+        self._set(index=index)
 
 
-@dataclass(frozen=True)
-class Cap:
-    index: int
+class Cap(FrozenRecord):
+    _fields = ("index",)
+
+    def __init__(self, index: int):
+        self._set(index=index)
 
 
-@dataclass(frozen=True)
-class Cup:
-    index: int
-    pair: str  # '+-' or '-+'
+class Cup(FrozenRecord):
+    _fields = ("index", "pair")
+
+    def __init__(self, index: int, pair: str):
+        self._set(index=index, pair=pair)  # pair is '+-' or '-+'
 
 
 def _check_signature(sig: str) -> str:

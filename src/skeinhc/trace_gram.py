@@ -29,7 +29,6 @@ Q(zeta_4N) or Q(i)(q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError, DomainError, PoleError
@@ -56,6 +55,7 @@ from .scalars import (
     specialize,
 )
 from .combinatorics import dim_hom_formula
+from .records import Record
 
 __all__ = [
     "closure_values",
@@ -176,12 +176,15 @@ def _trace_vector(n, field) -> tuple:
 # Gram matrices and ranks.
 
 
-@dataclass
-class GramReport:
-    source: str
-    target: str
-    basis: list
-    entries: list  # square matrix of ScalarQ; fixed once `distinct` has read it
+class GramReport(Record):
+    _fields = ("source", "target", "basis", "entries")
+
+    def __init__(self, source: str, target: str, basis: list, entries: list):
+        self.source = source
+        self.target = target
+        self.basis = basis
+        # a square matrix of ScalarQ; fixed once `distinct` has read it
+        self.entries = entries
 
     @property
     def dimension(self) -> int:

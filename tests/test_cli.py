@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import skeinhc
+from skeinhc import cli
 from skeinhc.cli import MAX_DECOMPOSE_N, MAX_WORD_STRANDS, _build_parser, main
 from skeinhc.combinatorics import MAX_SHAPE_BOXES, MAX_SHAPE_STATES
 from skeinhc.verify import SUITES
@@ -334,6 +335,42 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
         assert fresh(*argv) == result, argv
 
 
+DISPATCH_ARGV = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    ("nosuch",),
+    *((command, "-h") for command in
+      ("dims", "decompose", "tableaux", "paths", "normalize", "trace", "gram", "verify")),
+    ("trace", "--n", "2"),
+    ("trace", "--n", "3", "--wor", "t1 e2", "--spec", "3"),
+    ("normalize", "--n", "2", "--word", "t1 e1"),
+    ("dims", "++", "+-+-", "--format", "json"),
+    ("dims", "++", "++", "+-", "--"),
+    ("trace", "--n", "2", "--word", "t1", "--foo", "1", "-x"),
+    ("trace", "--n", "2", "--word", "t1", "--he"),
+    ("--", "trace", "--n", "2", "--word", "t1"),
+    ("trace", "--", "--n", "2", "--word", "t1"),
+    ("trace", "--n", "2", "--word", "t1", "--"),
+    ("gram", "--source=--", "--target", "++"),
+    ("verify", "--suite", "nosuch"),
+    ("trace", "--n", "2", "--word", "t1", "--spec", "101"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "none")
+def test_dispatch_matches_the_top_level_parse(capsys, monkeypatch, argv):
+    # main parses a known command with its own subparser; the oracle is main
+    # with every argv through the top-level parser.parse_args
+    monkeypatch.setenv("COLUMNS", "80")
+    result = run(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+        assert run(capsys, *argv) == result
+    assert fresh(*argv) == result
+
+
 def test_suite_names_match_the_verify_suites():
     from skeinhc.cli import SUITE_NAMES
 
@@ -353,3 +390,19 @@ def test_gram_on_plus_loads_neither_skein_nor_verify():
                           capture_output=True, text=True, env=env)
     assert proc.stderr == "0 []\n"
     assert json.loads(proc.stdout)["ranks"] == {"2": 4}
+
+
+def test_package_does_not_load_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(Path(skeinhc.__file__).parents[1]))
+    script = (
+        "import importlib, pkgutil, sys, skeinhc\n"
+        "for m in pkgutil.iter_modules(skeinhc.__path__):\n"
+        "    importlib.import_module('skeinhc.' + m.name)\n"
+        "print(len([m for m in sys.modules if m.startswith('skeinhc.')]),"
+        " 'dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    count, loaded = proc.stdout.split()
+    assert int(count) >= 9 and loaded == "False"

@@ -318,6 +318,15 @@ def test_even_action_matches_full_basis_products():
                 assert left == _full_basis_product(g, b), (key, j, inverse)
 
 
+@pytest.mark.parametrize("field", [QIQ, CyclotomicField(3)], ids=["QIQ", "zeta12"])
+def test_rmul_word_leaves_no_cancelled_term(field):
+    # (z - t_0) t_0 = z t_0 - t_0^2 = -1: the rows of the two terms cancel
+    # in h_(s_0), which must leave no entry (zero) in the term dict
+    unit, s0 = (0, 1, 2), (1, 0, 2)
+    terms = {(unit, 0): field.z, (s0, 0): -field.one}
+    assert _rmul_word(terms, [("t", 0)], field) == {(unit, 0): -field.one}
+
+
 @pytest.mark.parametrize("N", [3, 8])
 def test_cyclotomic_action_rows_specialize_the_generic_rows(N):
     # every row for n <= 4 over Q(zeta_4N), key for key and in the same

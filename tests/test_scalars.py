@@ -29,7 +29,7 @@ from skeinhc.scalars import (
     q_power,
     specialize,
 )
-from skeinhc.scalars import _canonical, _comb, _gmul, _trim
+from skeinhc.scalars import _canonical, _comb, _exponents, _gmul, _trim
 
 Z = QIQ.z
 
@@ -190,16 +190,25 @@ KINDS = ["unit", "zero", "laurent", "laurent", "laurent", "half-over-q", "loop",
          "family", *FAMILY_FACTORS]
 
 
+def assert_carried(*values):
+    """Each value carries the exponents of its denominator (None off the
+    q^j (q^2 - 1)^k family)."""
+    for x in values:
+        assert x._jk == _exponents(*x._parts[2:]), x
+
+
 def test_fast_paths_match_the_canonical_oracle():
     rng = random.Random(13)
     values = [_random_value(rng, kind) for kind in KINDS * 3]
     points = [GaussianRational(Fraction(3, 2)), GaussianRational(Fraction(-5, 7))]
+    assert {_exponents(*a._parts[2:]) is None for a in values} == {True, False}
     for a in values:
         nr, ni, dr, di = a._parts
         assert a._parts == _canonical(*a._parts)
         negated = _canonical(_comb(-1, nr, 0, ()), _comb(-1, ni, 0, ()), dr, di)
         assert (-a)._parts == (a * -1)._parts == (a / -ONE)._parts == negated
         assert (a * 1)._parts == (a / ONE)._parts == a._parts
+        assert_carried(a, -a, parse_scalar(str(a)), parse_scalar(str(-a)))
         assert all((-a).eval_at(x) == -a.eval_at(x) for x in points)
     for a, b in itertools.product(values, repeat=2):
         (nr, ni, dr, di), (onr, oni, odr, odi) = a._parts, b._parts
@@ -210,8 +219,10 @@ def test_fast_paths_match_the_canonical_oracle():
         assert (a * b)._parts == _canonical(*_gmul(nr, ni, onr, oni), *den)
         assert (a + b)._parts == _canonical(*plus, *den)
         assert (a - b)._parts == _canonical(*minus, *den)
+        assert_carried(a * b, a + b, a - b)
         if b:
             assert (a / b)._parts == _canonical(ar, ai, *_gmul(dr, di, onr, oni))
+            assert_carried(a / b)
         for x in points:
             va, vb = a.eval_at(x), b.eval_at(x)
             assert (a * b).eval_at(x) == va * vb

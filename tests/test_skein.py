@@ -53,6 +53,35 @@ def e_hom(n=2, j=0):
 # -- rigidity, loops, curls --------------------------------------------------
 
 
+def test_value_classes_compare_hash_and_print_by_their_fields():
+    from skeinhc.combinatorics import YoungPair
+    from skeinhc.scalars import SpecializationPoint
+    from skeinhc.trace_gram import GramReport
+
+    frozen = [Crossing(1), Crossing(2, False), Ladder(0), Cap(1), Cup(0, "+-"),
+              SpecializationPoint(3), YoungPair((2, 1), (1,), 4)]
+    assert [repr(x) for x in frozen] == [
+        "Crossing(index=1, positive=True)", "Crossing(index=2, positive=False)",
+        "Ladder(index=0)", "Cap(index=1)", "Cup(index=0, pair='+-')",
+        "SpecializationPoint(N=3)", "YoungPair(lam=(2, 1), mu=(1,), N=4)"]
+    assert Crossing(1) == Crossing(1, True) and Crossing(1) != Crossing(1, False)
+    assert Ladder(1) != Cap(1) and hash(Ladder(1)) == hash(Cap(1)) == hash((1,))
+    assert hash(Cup(0, "+-")) == hash(Cup(0, "+-")) == hash((0, "+-"))
+    assert len({Crossing(0), Crossing(0), Ladder(0), Cap(0)}) == 3
+    for x in frozen:
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            x.index = 5
+    with pytest.raises(DomainError):
+        SpecializationPoint(1)
+    with pytest.raises(DomainError):
+        YoungPair((1,), (1,), 1)
+    report = GramReport("+", "+", [1], [[2]])
+    assert repr(report) == "GramReport(source='+', target='+', basis=[1], entries=[[2]])"
+    assert report == GramReport("+", "+", [1], [[2]]) != GramReport("+", "+", [1], [[3]])
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 def test_zig_zags():
     assert evaluate([Cup(0, "+-"), Cap(1)], "+") == identity_hom("+")
     assert evaluate([Cup(1, "-+"), Cap(0)], "+") == identity_hom("+")
