@@ -58,6 +58,10 @@ MUTANTS = [
     ("ScalarQ.__neg__ dropping the carried exponents", "scalars.py",
      "        return _new((*neg, dr, di), self._jk)\n",
      "        return _new((*neg, dr, di), None)\n"),
+    ("ScalarQ.__init__ dropping the imaginary part of a constant coefficient",
+     "scalars.py",
+     "            return Fraction(sum(nr), dr[0]), Fraction(sum(ni), dr[0])\n",
+     "            return Fraction(sum(nr), dr[0]), Fraction(0)\n"),
     ("_rmul_word keeping a term that cancelled to zero", "hecke_clifford.py",
      "                    if c.is_zero:\n                        del out[key]\n"
      "                    else:\n",

@@ -27,8 +27,8 @@ REPEATS times and the fastest run is kept.  Every product, sum and negation
 is then compared with ``_canonical`` applied to the unreduced parts, and
 its carried exponents ``_jk`` with ``_exponents`` of its denominator (as
 are those of every parsed string); every string with ``parse_scalar`` of
-it and with the text of the ``num`` and ``den`` GaussianRational
-coefficients; every image with the image of the
+it and with a text built here from the int parts ``_parts``; every image
+with the image of the
 numerator times the ``CyclotomicValue.inv`` of the image of the
 denominator.  The script exits 1 on any mismatch.  The entry is merged into
 --out under --key; other keys in the file are kept.
@@ -41,6 +41,7 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path("src").resolve()))
@@ -111,28 +112,39 @@ def denominator_kind(x: ScalarQ) -> str:
     return "laurent" if len(z) == 1 else "family"
 
 
-def gaussian_text(x: ScalarQ) -> str:
-    """str(x) rendered from the GaussianRational coefficients of x.num and
-    x.den, highest power of q first."""
+def parts_text(x: ScalarQ) -> str:
+    """str(x) rendered from the int parts (nr + i*ni)/(dr + i*di) of x, each
+    coefficient divided by the lead L of dr, highest power of q first."""
+    nr, ni, dr, di = x._parts
+    lead = dr[-1]
 
-    def poly(p: tuple) -> str:
+    def coeff(a: int, b: int) -> str:
+        re, im = Fraction(a, lead), Fraction(b, lead)
+        if not im:
+            return str(re)
+        i = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        if not re:
+            return i if im > 0 else f"-{i}"
+        return f"{re} {'+' if im > 0 else '-'} {i}"
+
+    def poly(re: tuple, im: tuple) -> str:
         out = ""
-        for k in range(len(p) - 1, -1, -1):
-            c = p[k]
-            if c:
-                cs = f"({c})" if c.re and c.im and k else str(c)
+        for k in range(max(len(re), len(im)) - 1, -1, -1):
+            a, b = re[k] if k < len(re) else 0, im[k] if k < len(im) else 0
+            if a or b:
+                cs = f"({coeff(a, b)})" if a and b and k else coeff(a, b)
                 if k:
                     mon = "q" if k == 1 else f"q^{k}"
                     cs = mon if cs == "1" else f"-{mon}" if cs == "-1" else f"{cs}*{mon}"
                 out += cs if not out else f" - {cs[1:]}" if cs[0] == "-" else f" + {cs}"
         return out or "0"
 
-    num = poly(x.num)
-    if len(x.den) == 1:
+    num = poly(nr, ni)
+    if len(dr) == 1:
         return num
-    if len(x.num) > 1 or (x.num and x.num[0].re and x.num[0].im):
+    if max(len(nr), len(ni)) > 1 or (nr and ni):
         num = f"({num})"
-    return f"{num}/({poly(x.den)})"
+    return f"{num}/({poly(dr, di)})"
 
 
 def quotient_image(x: ScalarQ, field: CyclotomicField) -> CyclotomicValue:
@@ -193,7 +205,7 @@ def main() -> int:
     distinct = dict(zip(states, texts))
     parsed = {s: parse_scalar(text) for s, text in distinct.items()}
     text_mismatches = sum(
-        text != gaussian_text(s) or parsed[s] != s for s, text in distinct.items()
+        text != parts_text(s) or parsed[s] != s for s, text in distinct.items()
     )
     exponent_mismatches = sum(
         x._jk != _exponents(*x._parts[2:])

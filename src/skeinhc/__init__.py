@@ -15,9 +15,8 @@ from importlib import import_module
 # neither the skein layer nor the verify suites).
 _EXPORTS = {
     "errors": ("ConsistencyError", "DomainError", "ParityError", "PoleError"),
-    "scalars": ("CyclotomicField", "CyclotomicValue", "GaussianRational", "QIQ",
-                "ScalarQ", "SpecializationPoint", "loop_value", "parse_scalar",
-                "specialize"),
+    "scalars": ("CyclotomicField", "CyclotomicValue", "QIQ", "ScalarQ",
+                "SpecializationPoint", "loop_value", "parse_scalar", "specialize"),
     "combinatorics": ("count_pair_tableaux", "count_paths_double_young",
                       "count_standard_tableaux", "decompose_object",
                       "dim_end_oracle", "dim_hom_formula"),

@@ -1,16 +1,15 @@
 """Exact coefficient arithmetic.
 
-Three layers:
+Two layers:
 
-* :class:`GaussianRational` -- elements a + b*i of Q(i), with exact
-  `fractions.Fraction` parts.
 * :class:`ScalarQ` -- rational functions in the variable q over Q(i),
   stored on ints as a reduced fraction of dense polynomials over Z[i] in
   a canonical form, so structural equality coincides with equality of values.
-  Results that are canonical by construction skip `_canonical`: a product
-  by 1 or -1 and a negation (the negated numerator keeps the denominator
-  and its positive integer lead), and products, quotients and sums of
-  values over q^j (q^2 - 1)^k (a loop is 2iq/(q^2 - 1)), see `_family`.
+  Its constants are the elements a + b*i of Q(i).  Results that are
+  canonical by construction skip `_canonical`: a product by 1 or -1 and a
+  negation (the negated numerator keeps the denominator and its positive
+  integer lead), and products, quotients and sums of values over
+  q^j (q^2 - 1)^k (a loop is 2iq/(q^2 - 1)), see `_family`.
 * :class:`CyclotomicValue` -- elements of Q(zeta_m) as an integer vector
   modulo the m-th cyclotomic polynomial over one positive integer
   denominator.  The specialization points of interest send q to the
@@ -33,7 +32,6 @@ from .errors import ConsistencyError, DomainError, PoleError
 from .records import FrozenRecord
 
 __all__ = [
-    "GaussianRational",
     "ScalarQ",
     "CyclotomicValue",
     "SpecializationPoint",
@@ -51,108 +49,6 @@ __all__ = [
     "cyclotomic_polynomial",
 ]
 
-
-class GaussianRational:
-    """An exact element a + b*i of Q(i)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _gauss(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _gauss(other) - self
-
-    def __mul__(self, other):
-        other = _gauss(other)
-        if not (self.im or other.im):
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _gauss(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise DomainError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return _gauss(other) / self
-
-    def inv(self):
-        return _G1 / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):  # a real value hashes like the equal Fraction or int
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return _coeff_str(self.re, self.im)
-
-
-def _gauss(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot coerce {x!r} into Q(i)")
-
-
-def _coeff_str(re, im) -> str:
-    """The text of re + im*i for int or Fraction parts."""
-    if not im:
-        return str(re)
-    i = "i" if abs(im) == 1 else f"{abs(im)}*i"
-    if not re:
-        return i if im > 0 else f"-{i}"
-    return f"{re} {'+' if im > 0 else '-'} {i}"
-
-
-_G1 = GaussianRational(1)
 
 # ---------------------------------------------------------------------------
 # Polynomials over Z[i]: a pair (re, im) of int tuples, lowest degree first,
@@ -343,22 +239,22 @@ class ScalarQ:
     Stored on ints as ``_parts = (nr, ni, dr, di)``: (nr + i*ni)/(dr + i*di)
     in the form of `_canonical`, so two ScalarQ values are equal as
     functions iff they are structurally equal.  ``num`` and ``den`` give
-    the reduced fraction with a monic denominator as GaussianRational tuples.
+    the reduced fraction with a monic denominator as tuples of constants.
     ``_jk`` is `_exponents` of the denominator: (j, k) for q^j (q^2 - 1)^k,
     else None.
     """
 
     __slots__ = ("_parts", "_jk")
 
-    def __init__(self, num=(), den=(_G1,), _parts=None):
+    def __init__(self, num=(), den=(1,), _parts=None):
         if _parts is None:
-            num = (_gauss(num),) if isinstance(num, _COEFF) else tuple(map(_gauss, num))
-            den = (_gauss(den),) if isinstance(den, _COEFF) else tuple(map(_gauss, den))
-            scale = lcm(*(x.denominator for c in num + den for x in (c.re, c.im)))
+            num, den = ([_coeff(p)] if isinstance(p, (int, Fraction, ScalarQ))
+                        else [_coeff(c) for c in p] for p in (num, den))
+            scale = lcm(*(x.denominator for c in num + den for x in c))
             _parts = tuple(
-                _trim([x.numerator * (scale // x.denominator) for x in part])
+                _trim([c[k].numerator * (scale // c[k].denominator) for c in p])
                 for p in (num, den)
-                for part in ([c.re for c in p], [c.im for c in p])
+                for k in (0, 1)
             )
         self._parts = parts = _canonical(*_parts)
         self._jk = _exponents(parts[2], parts[3])
@@ -366,10 +262,8 @@ class ScalarQ:
     def _poly(self, re, im) -> tuple:
         lead, n = self._parts[2][-1], max(len(re), len(im))
         re, im = re + (0,) * (n - len(re)), im + (0,) * (n - len(im))
-        return tuple(
-            GaussianRational(Fraction(a, lead), Fraction(b, lead))
-            for a, b in zip(re, im)
-        )
+        return tuple(ScalarQ(_parts=(_trim([a]), _trim([b]), (lead,), ()))
+                     for a, b in zip(re, im))
 
     num = property(lambda self: self._poly(*self._parts[:2]))
     den = property(lambda self: self._poly(*self._parts[2:]))
@@ -442,14 +336,14 @@ class ScalarQ:
         return ONE / self
 
     # -- structure ----------------------------------------------------------
-    def __eq__(self, other):  # ScalarQ first: _COEFF holds the ABC Fraction
+    def __eq__(self, other):
         if not isinstance(other, ScalarQ):
-            if not isinstance(other, _COEFF):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = _scalar(other)
         return self._parts == other._parts
 
-    def __hash__(self):  # a constant hashes like the equal GaussianRational
+    def __hash__(self):  # a real constant hashes like the equal int or Fraction
         nr, ni, dr, _ = self._parts
         if len(dr) > 1 or len(nr) > 1 or len(ni) > 1:
             return hash(self._parts)
@@ -477,26 +371,6 @@ class ScalarQ:
             num = f"({num})"
         return f"{num}/({_poly_str(dr, di, dr[-1])})"
 
-    def eval_at(self, x) -> GaussianRational:
-        """Evaluate at a rational (or Gaussian-rational) value of q.
-
-        With x = (xr + i*xi)/s, the remainder of s^d * p by s*q - xr - i*xi
-        is s^d * p(x); s^d cancels between numerator and denominator."""
-        x = _gauss(x)
-        s = lcm(x.re.denominator, x.im.denominator)
-        xr, xi = (v.numerator * (s // v.denominator) for v in (x.re, x.im))
-        root, d = ((-xr, s), (-xi,)), max(map(len, self._parts)) - 1
-        num, den = (
-            GaussianRational(*((r or (0,))[0] for r in _gdivmod(p, root, d)[1]))
-            for p in (self._parts[:2], self._parts[2:])
-        )
-        if not den:
-            raise PoleError(f"denominator vanishes at q = {x}")
-        return num / den
-
-
-_COEFF = (int, Fraction, GaussianRational)
-
 
 def _power(x, k: int, one):
     """x**k by repeated squaring; a negative k powers x.inv()."""
@@ -523,9 +397,31 @@ def _new(parts: tuple, jk) -> ScalarQ:
 def _scalar(x) -> ScalarQ:
     if isinstance(x, ScalarQ):
         return x
-    if isinstance(x, _COEFF):
+    if isinstance(x, (int, Fraction)):
         return ScalarQ(x)
     raise TypeError(f"cannot coerce {x!r} into Q(i)(q)")
+
+
+def _coeff(c) -> tuple:
+    """(re, im) as Fractions of c in Q(i): an int, a Fraction or a constant
+    ScalarQ."""
+    if isinstance(c, ScalarQ):
+        nr, ni, dr, _ = c._parts
+        if len(nr) < 2 and len(ni) < 2 and len(dr) == 1:
+            return Fraction(sum(nr), dr[0]), Fraction(sum(ni), dr[0])
+    elif isinstance(c, (int, Fraction)):
+        return Fraction(c), Fraction(0)
+    raise TypeError(f"cannot coerce {c!r} into Q(i)")
+
+
+def _coeff_str(re, im) -> str:
+    """The text of re + im*i for int or Fraction parts."""
+    if not im:
+        return str(re)
+    i = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    if not re:
+        return i if im > 0 else f"-{i}"
+    return f"{re} {'+' if im > 0 else '-'} {i}"
 
 
 def _poly_str(re: tuple, im: tuple, lead: int) -> str:
@@ -549,7 +445,7 @@ def _poly_str(re: tuple, im: tuple, lead: int) -> str:
 
 ZERO = ScalarQ(0)
 ONE = ScalarQ(1)
-I = ScalarQ(GaussianRational(0, 1))
+I = ScalarQ(_parts=((), (1,), (1,), ()))
 Q = ScalarQ((0, 1))
 
 
@@ -1061,13 +957,15 @@ def parse_scalar(text: str) -> ScalarQ:
 
 
 def _size(node: ScalarQ) -> int:
-    """max(degree, coefficient bit length) of a scalar, at least 1."""
+    """max(degree, coefficient bit length) of a scalar, at least 1; the
+    coefficients are those of the fraction with a monic denominator."""
+    lead = node._parts[2][-1]
     bits = (
         max(abs(x.numerator), x.denominator).bit_length()
-        for c in node.num + node.den
-        for x in (c.re, c.im)
+        for part in node._parts
+        for x in (Fraction(c, lead) for c in part)
     )
-    return max(1, len(node.num) - 1, len(node.den) - 1, *bits)
+    return max(1, *(len(part) - 1 for part in node._parts), *bits)
 
 
 def _tokenize(text: str):

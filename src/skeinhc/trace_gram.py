@@ -200,11 +200,10 @@ class GramReport(Record):
 
 
 # Work bounds: End(+^5) is 1,920-dim.  Mixed signatures compose per entry
-# through End(s1), so their cost grows with each boundary's length and, at
-# 3 strands, with its downward letters.
+# through End(s1), so at 3 strands their cost grows with the downward
+# letters of a boundary.
 MAX_GRAM_STRANDS_PLUS = 4
 MAX_GRAM_STRANDS_MIXED = 3
-MAX_GRAM_BOUNDARY_MIXED = 3  # letters on one boundary
 MAX_GRAM_DOWN_MIXED = 1  # '-' letters on one boundary at 3 strands
 
 
@@ -226,12 +225,6 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
         kind = "all-plus" if plus else "mixed"
         raise DomainError(f"gram needs {m} strands, over the {kind} limit {limit}")
     if not plus:
-        longest = max(len(s1), len(s2))
-        if longest > MAX_GRAM_BOUNDARY_MIXED:
-            raise DomainError(
-                f"gram needs a boundary of {longest} letters, "
-                f"over the mixed limit {MAX_GRAM_BOUNDARY_MIXED}"
-            )
         down = max(s1.count("-"), s2.count("-"))
         if m == MAX_GRAM_STRANDS_MIXED and down > MAX_GRAM_DOWN_MIXED:
             raise DomainError(

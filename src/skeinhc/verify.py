@@ -57,7 +57,7 @@ from .trace_gram import (
     verify_derived_closures,
 )
 
-__all__ = ["SUITES", "run_suite", "run_all"]
+__all__ = ["SUITES", "run_suite"]
 
 
 def _check(name, ok, detail=""):
@@ -582,7 +582,3 @@ def run_suite(name: str, seed: int = 0):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](seed)
-
-
-def run_all(seed: int = 0):
-    return {name: fn(seed) for name, fn in SUITES.items()}

@@ -8,10 +8,11 @@ Q(i)(q) are reduced by `residue` at q -> zeta^k with i -> zeta^(k m/4), which
 takes both square roots of -1 as k varies, and at a generic residue of q.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from skeinhc.errors import PoleError
-from skeinhc.scalars import _canonical, _gauss, _modular_point, residue, specialize
+from skeinhc.scalars import ScalarQ, _canonical, _modular_point, residue, specialize
 from skeinhc.trace_gram import GENERIC_Q_RESIDUE
 
 
@@ -39,10 +40,14 @@ def residues(f) -> list:
 
 
 def gauss_residue(g, p: int, i: int) -> int:
-    """The image of an element of Q(i) under i -> i in F_p."""
-    g = _gauss(g)
-    return sum(x.numerator * pow(x.denominator, -1, p) * u
-               for x, u in ((g.re, 1), (g.im, i))) % p
+    """The image of an element of Q(i) (an int, a Fraction or a constant
+    ScalarQ) under i -> i in F_p; a ScalarQ is read from its int parts."""
+    if not isinstance(g, ScalarQ):
+        g = Fraction(g)
+        return g.numerator * pow(g.denominator, -1, p) % p
+    nr, ni, dr, di = g._parts
+    assert len(nr) < 2 and len(ni) < 2 and len(dr) == 1 and not di, g
+    return (sum(nr) + i * sum(ni)) * pow(dr[0], -1, p) % p
 
 
 def fraction_residues(num: list, den: list) -> list:

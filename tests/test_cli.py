@@ -13,7 +13,7 @@ import pytest
 import skeinhc
 from skeinhc import cli
 from skeinhc.cli import MAX_DECOMPOSE_N, MAX_WORD_STRANDS, _build_parser, main
-from skeinhc.combinatorics import MAX_SHAPE_BOXES, MAX_SHAPE_STATES
+from skeinhc.combinatorics import MAX_SHAPE_BOXES, MAX_SHAPE_STATES, dim_hom_formula
 from skeinhc.verify import SUITES
 
 
@@ -250,9 +250,10 @@ def test_gram_work_bound(capsys, sig, message):
          "over the mixed limit 1"),
         ("---", "---", "gram needs 3 '-' letters on a boundary at 3 strands, "
          "over the mixed limit 1"),
-        ("+-", "++--", "gram needs a boundary of 4 letters, over the mixed limit 3"),
-        ("++--", "", "gram needs a boundary of 4 letters, over the mixed limit 3"),
-        ("-", "++---", "gram needs a boundary of 5 letters, over the mixed limit 3"),
+        ("+-", "++--", "gram needs 2 '-' letters on a boundary at 3 strands, "
+         "over the mixed limit 1"),
+        ("-", "++---", "gram needs 3 '-' letters on a boundary at 3 strands, "
+         "over the mixed limit 1"),
     ],
 )
 def test_gram_mixed_work_bound(capsys, source, target, message):
@@ -262,6 +263,17 @@ def test_gram_mixed_work_bound(capsys, source, target, message):
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("source, target", [("++--", ""), ("++", "+++-")])
+def test_gram_accepts_a_long_boundary(capsys, source, target):
+    # the length of a boundary bounds no work: these take 0.1-0.2 s with all
+    # eight ranks, less than the 0.5 s of ++-/++-
+    code, out, err = run(capsys, "gram", f"--source={source}", f"--target={target}",
+                         "--spec", "2")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["dimension"] == len(payload["basis"]) == dim_hom_formula(source, target)
 
 
 @pytest.mark.parametrize(

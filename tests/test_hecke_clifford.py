@@ -388,6 +388,15 @@ def test_normalize_word_variants():
         parse_generator_word("v1'", 3)
 
 
+def test_full_variant_strings():
+    # the mixed relation t_j v_{j+1} = v_j t_j - z (v_j - v_{j+1}), Clifford
+    # tokens left of the braid part
+    assert str(normalize(parse_generator_word("t1 v2", 3), 3)) == (
+        "((-q^2 + 1)/(q)) * v1 + ((q^2 - 1)/(q)) * v2 + (1) * v1*t1"
+    )
+    assert str(normalize(parse_generator_word("t1 v1", 2), 2)) == "(1) * v2*t1"
+
+
 def test_associativity_random():
     rng = random.Random(13)
     for _ in range(100):

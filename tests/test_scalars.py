@@ -20,7 +20,6 @@ from skeinhc.scalars import (
     ZERO,
     CyclotomicField,
     CyclotomicValue,
-    GaussianRational,
     ScalarQ,
     SpecializationPoint,
     cyclotomic_polynomial,
@@ -115,9 +114,7 @@ def test_specialization_point_requires_n_at_least_two():
 def test_homomorphism_property_random():
     rng = random.Random(11)
     for _ in range(30):
-        a = Q ** rng.randint(-3, 3) * GaussianRational(
-            Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
-        ) + ONE
+        a = Q ** rng.randint(-3, 3) * (rng.randint(-4, 4) + rng.randint(-4, 4) * I) + ONE
         b = Z ** rng.randint(0, 2) + I * Q ** rng.randint(-2, 2)
         N = rng.choice([2, 3, 5])
         pt = SpecializationPoint(N)
@@ -145,9 +142,8 @@ def test_cyclotomic_inverse():
 def test_parse_round_trip():
     rng = random.Random(5)
     for _ in range(25):
-        f = (Q ** rng.randint(-3, 3)) * GaussianRational(
-            rng.randint(-5, 5), rng.randint(-5, 5)
-        ) + Z ** rng.randint(0, 2)
+        k = rng.randint(-3, 3)
+        f = (Q ** k) * (rng.randint(-5, 5) + rng.randint(-5, 5) * I) + Z ** rng.randint(0, 2)
         assert parse_scalar(str(f)) == f
 
 
@@ -200,7 +196,6 @@ def assert_carried(*values):
 def test_fast_paths_match_the_canonical_oracle():
     rng = random.Random(13)
     values = [_random_value(rng, kind) for kind in KINDS * 3]
-    points = [GaussianRational(Fraction(3, 2)), GaussianRational(Fraction(-5, 7))]
     assert {_exponents(*a._parts[2:]) is None for a in values} == {True, False}
     for a in values:
         nr, ni, dr, di = a._parts
@@ -209,7 +204,6 @@ def test_fast_paths_match_the_canonical_oracle():
         assert (-a)._parts == (a * -1)._parts == (a / -ONE)._parts == negated
         assert (a * 1)._parts == (a / ONE)._parts == a._parts
         assert_carried(a, -a, parse_scalar(str(a)), parse_scalar(str(-a)))
-        assert all((-a).eval_at(x) == -a.eval_at(x) for x in points)
     for a, b in itertools.product(values, repeat=2):
         (nr, ni, dr, di), (onr, oni, odr, odi) = a._parts, b._parts
         (ar, ai), (br, bi) = _gmul(nr, ni, odr, odi), _gmul(onr, oni, dr, di)
@@ -223,12 +217,6 @@ def test_fast_paths_match_the_canonical_oracle():
         if b:
             assert (a / b)._parts == _canonical(ar, ai, *_gmul(dr, di, onr, oni))
             assert_carried(a / b)
-        for x in points:
-            va, vb = a.eval_at(x), b.eval_at(x)
-            assert (a * b).eval_at(x) == va * vb
-            assert (a + b).eval_at(x) == va + vb
-            assert (a - b).eval_at(x) == va - vb
-            assert not b or (a / b).eval_at(x) == va / vb
 
 
 def test_end3_gram_runs_few_canonical_forms():
@@ -252,15 +240,15 @@ def test_end3_gram_runs_few_canonical_forms():
 
 def test_hash_agrees_with_equality():
     half = Fraction(1, 2)
-    one_cases = [ScalarQ(1), (Q * Q - 1) / (Q * Q - 1), GaussianRational(1),
+    one_cases = [ScalarQ(1), (Q * Q - 1) / (Q * Q - 1), I * -I,
                  Fraction(1), CyclotomicValue(8, [1]), CyclotomicValue(12, [1])]
     assert {1, *one_cases} == {1}
-    halves = [ScalarQ(half), GaussianRational(half), CyclotomicValue(12, [half])]
+    halves = [ScalarQ(half), I / (2 * I), CyclotomicValue(12, [half])]
     assert {half, *halves} == {half}
-    assert {I, GaussianRational(0, 1)} == {I}
-    assert {0, ZERO, GaussianRational(0), CyclotomicValue(8, [])} == {0}
-    table = {1: "one", half: "half", GaussianRational(0, 1): "i"}
-    assert table[ScalarQ(1)] == table[GaussianRational(1)] == "one"
+    assert {I, ScalarQ(I), parse_scalar("i")} == {I}
+    assert {0, ZERO, I - I, CyclotomicValue(8, [])} == {0}
+    table = {1: "one", half: "half", ScalarQ(I): "i"}
+    assert table[ScalarQ(1)] == table[I * -I] == "one"
     assert table[CyclotomicValue(8, [1])] == "one"
     assert table[ScalarQ(half)] == table[CyclotomicValue(12, [half])] == "half"
     assert table[I] == "i"
