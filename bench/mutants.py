@@ -62,6 +62,12 @@ MUTANTS = [
      "scalars.py",
      "            return Fraction(sum(nr), dr[0]), Fraction(sum(ni), dr[0])\n",
      "            return Fraction(sum(nr), dr[0]), Fraction(0)\n"),
+    ("point_order accepting N = 1", "scalars.py",
+     "    if not 2 <= N <= MAX_SPEC_N:\n",
+     "    if not 1 <= N <= MAX_SPEC_N:\n"),
+    ("gram_matrix without its sorted-signature check", "trace_gram.py",
+     '            if "-+" in sig:\n',
+     "            if False:\n"),
     ("_rmul_word keeping a term that cancelled to zero", "hecke_clifford.py",
      "                    if c.is_zero:\n                        del out[key]\n"
      "                    else:\n",

@@ -21,8 +21,8 @@ and seeded:
 Products are state times action coefficient, as in the even action; sums
 add a product to another state; negations negate each product.  ``str``
 prints every state, and ``specialize`` sends every state, and separately
-every state over q^j (q^2 - 1)^k with k > 0, to q = zeta_32 (N = 8), with no
-inverses shared between calls, as in ``trace --spec``.  Each list is timed
+every state over q^j (q^2 - 1)^k with k > 0, to q = zeta_32 (N = 8), one
+call per value, as in ``trace --spec``.  Each list is timed
 REPEATS times and the fastest run is kept.  Every product, sum and negation
 is then compared with ``_canonical`` applied to the unreduced parts, and
 its carried exponents ``_jk`` with ``_exponents`` of its denominator (as

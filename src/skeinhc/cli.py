@@ -17,7 +17,7 @@ from functools import lru_cache
 # errors and scalars first: loaded before the rest, they leave the peak RSS
 # of a gram job about 0.5 MB lower (an effect of allocation order alone)
 from .errors import ConsistencyError, DomainError
-from .scalars import SpecializationPoint, specialize
+from .scalars import point_order, specialize
 from .combinatorics import (
     as_diagram,
     check_shapes,
@@ -208,19 +208,20 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_trace(args) -> int:
     letters = _word_letters(args)
-    point = None if args.spec is None else SpecializationPoint(args.spec)
+    if args.spec is not None:
+        point_order(args.spec)  # a bad --spec fails before any work
     elem = normalize(letters, args.n)
     if elem.variant != "even":
         raise DomainError("trace expects an even word (t and e letters)")
     value = markov_trace(elem)
     if args.format == "text":
         print(str(value))
-        if point is not None:
-            print(str(specialize(value, point)))
+        if args.spec is not None:
+            print(str(specialize(value, args.spec)))
         return 0
     report = {"n": args.n, "word": args.word, "trace": str(value)}
-    if point is not None:
-        report["spec"] = {"N": args.spec, "value": str(specialize(value, point))}
+    if args.spec is not None:
+        report["spec"] = {"N": args.spec, "value": str(specialize(value, args.spec))}
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -232,11 +233,10 @@ def _cmd_gram(args) -> int:
                 f"argument --{flag}: argparse reads '--' as the end of options; "
                 "the signature '--' is library-only (gram_matrix('--', '--'))"
             )
-    points = [SpecializationPoint(N) for N in args.spec]  # bad --spec fails fast
+    for N in args.spec:
+        point_order(N)  # a bad --spec fails before any Gram work
     report = gram_matrix(args.source, args.target)
-    ranks = {}
-    for point in points:
-        ranks[str(point.N)] = gram_rank(report, point)
+    ranks = {N: gram_rank(report, N) for N in args.spec}
     payload = {
         "source": report.source,
         "target": report.target,
@@ -246,7 +246,7 @@ def _cmd_gram(args) -> int:
             for (w, emask) in report.basis
         ],
         "entries": _entrywise(report, str),
-        "ranks": ranks,
+        "ranks": {str(N): r for N, r in ranks.items()},
     }
     if args.generic:
         payload["generic_rank"] = gram_rank(report, "generic")

@@ -29,12 +29,12 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ConsistencyError, DomainError, PoleError
-from .records import FrozenRecord
 
 __all__ = [
     "ScalarQ",
     "CyclotomicValue",
-    "SpecializationPoint",
+    "MAX_SPEC_N",
+    "point_order",
     "RationalFunctionField",
     "CyclotomicField",
     "QIQ",
@@ -661,29 +661,25 @@ class CyclotomicValue:
 
 
 # ---------------------------------------------------------------------------
-# Specialization points and field adapters.
+# Specialization points, each named by its level N, and field adapters.
+
+MAX_SPEC_N = 100  # the field keeps all 4N reduced powers of zeta; goldens use N <= 8
 
 
-class SpecializationPoint(FrozenRecord):
-    """The evaluation q -> exp(2*pi*i/(4N)), a primitive 4N-th root with q^N = i."""
+def point_order(N: int) -> int:
+    """The order 4N of the point q -> exp(2*pi*i/(4N)), where q^N = i;
+    DomainError unless 2 <= N <= MAX_SPEC_N.  Builds no field.
 
-    _fields = ("N",)
-    MAX_N = 100  # the field keeps all 4N reduced powers of zeta; goldens use N <= 8
-
-    def __init__(self, N: int):
-        self._set(N=N)
-        if not 2 <= self.N <= self.MAX_N:
-            raise DomainError(f"specialization points require 2 <= N <= {self.MAX_N}")
-
-    @property
-    def order(self) -> int:
-        return 4 * self.N
+    >>> point_order(3)
+    12
+    """
+    if not 2 <= N <= MAX_SPEC_N:
+        raise DomainError(f"specialization points require 2 <= N <= {MAX_SPEC_N}")
+    return 4 * N
 
 
 class RationalFunctionField:
     """Field adapter for Q(i)(q)-valued coefficients."""
-
-    name = "Q(i)(q)"
 
     zero = ZERO
     one = ONE
@@ -702,10 +698,8 @@ class CyclotomicField:
     """Field adapter for Q(zeta_{4N}) at the distinguished point q = zeta_{4N}."""
 
     def __init__(self, N: int):
-        self.point = SpecializationPoint(N)
-        m = self.point.order
-        self.order = m
-        self.name = f"Q(zeta_{m})"
+        self.N = N
+        self.order = m = point_order(N)
         # zeta^e reduced modulo Phi_m, for 0 <= e < m
         self.powers = tuple(CyclotomicValue(m, [0] * e + [1], 1) for e in range(m))
         self.zero = CyclotomicValue(m, [], 1)
@@ -743,7 +737,7 @@ class CyclotomicField:
         k + shift + N (i = zeta^N), modulo the order."""
         m = self.order
         acc = [0] * m
-        for part, base in ((re, shift), (im, shift + self.point.N)):
+        for part, base in ((re, shift), (im, shift + self.N)):
             for e, c in enumerate(part, base):
                 acc[e % m] += c
         return acc
@@ -754,24 +748,18 @@ def _field_for(N: int) -> CyclotomicField:
     return CyclotomicField(N)
 
 
-def specialize(
-    f: ScalarQ, point: SpecializationPoint | int, inverses: dict | None = None
-) -> CyclotomicValue:
+def specialize(f: ScalarQ, N: int) -> CyclotomicValue:
     """Exact image of f under q -> zeta_{4N}; raises PoleError at a pole.
 
     A factor q^v of the denominator becomes the exponent shift -v of the
     numerator, so a monomial denominator costs no inverse, and
     q^j (q^2 - 1)^k = q^(j + k) z^k with z = q - q^(-1) takes the shift
-    -j - k and the field's z^(-k).  ``inverses``, if given, maps the rest of
-    any other denominator to its inverse at this point; calls at the same
-    point that share it invert each denominator once.
+    -j - k and the field's z^(-k).  Any other denominator is inverted.
 
-    >>> str(specialize(Q, SpecializationPoint(2)))
+    >>> str(specialize(Q, 2))
     'z'
     """
-    if isinstance(point, int):
-        point = SpecializationPoint(point)
-    field = _field_for(point.N)
+    field = _field_for(N)
     m, (nr, ni, dr, di) = field.order, f._parts
     v = min(_low(dr), _low(di))
     if len(dr) == v + 1:  # L * q^v
@@ -780,16 +768,10 @@ def specialize(
     if jk:  # q^(j + k) z^k
         num = CyclotomicValue(m, field._image(nr, ni, -jk[0] - jk[1]), 1)
         return num * field.z_inverse(jk[1])
-    num = field._image(nr, ni, -v)
-    inverses = {} if inverses is None else inverses
-    key = (dr[v:], di[v:])
-    inv = inverses.get(key)
-    if inv is None:
-        den = CyclotomicValue(m, field._image(*key), 1)
-        if den.is_zero:
-            raise PoleError(f"denominator of {f} vanishes at q = zeta_{m}")
-        inv = inverses[key] = den.inv()
-    return CyclotomicValue(m, num, 1) * inv
+    den = CyclotomicValue(m, field._image(dr[v:], di[v:]), 1)
+    if den.is_zero:
+        raise PoleError(f"denominator of {f} vanishes at q = zeta_{m}")
+    return CyclotomicValue(m, field._image(nr, ni, -v), 1) * den.inv()
 
 
 def _is_prime(n: int) -> bool:

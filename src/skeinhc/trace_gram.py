@@ -48,9 +48,9 @@ from .hecke_clifford import (
 )
 from .scalars import (
     QIQ,
-    SpecializationPoint,
     _field_for,
     _modular_point,
+    point_order,
     residue,
     specialize,
 )
@@ -151,8 +151,7 @@ def markov_trace_at(x: AlgebraElement, N: int):
     run the same closure recursion in cyclotomic arithmetic."""
     if not isinstance(x.field, type(QIQ)):
         raise DomainError("markov_trace_at expects rational-function coefficients")
-    cf = _field_for(N)
-    spec = x.map_coefficients(lambda c: specialize(c, cf.point), cf)
+    spec = x.map_coefficients(lambda c: specialize(c, N), _field_for(N))
     return markov_trace(spec)
 
 
@@ -212,8 +211,8 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
 
     For +^n the basis is the algebra basis and entry (j, k) is
     tau(b_j theta(b_k)), from the trace vector and right-action tables;
-    general signatures compose in the skein layer (sorted targets only).
-    Beyond the MAX_GRAM_* bounds this raises DomainError.
+    general signatures compose in the skein layer.  Beyond the MAX_GRAM_*
+    bounds, or for an unsorted signature like '+-+', this raises DomainError.
     """
     dim = dim_hom_formula(s1, s2)  # 0 exactly when the charges differ
     if not dim:
@@ -231,6 +230,10 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
                 f"gram needs {down} '-' letters on a boundary at {m} strands, "
                 f"over the mixed limit {MAX_GRAM_DOWN_MIXED}"
             )
+        for sig in (s1, s2):
+            if "-+" in sig:
+                raise DomainError(f"signature {sig!r} is not sorted: gram needs "
+                                  "signatures sorted like '++--'")
     basis = basis_keys_even(m)
     if len(basis) != dim:
         raise ConsistencyError("basis enumeration disagrees with dimension formula")
@@ -267,7 +270,7 @@ def gram_matrix(s1: str, s2: str) -> GramReport:
 GENERIC_Q_RESIDUE = 0x1545F4914F6CDD1D
 
 
-def gram_rank(report: GramReport, point) -> int:
+def gram_rank(report: GramReport, N) -> int:
     """Certified rank of the Gram matrix at q = zeta_4N, or over Q(i)(q)
     ('generic').
 
@@ -281,25 +284,22 @@ def gram_rank(report: GramReport, point) -> int:
     Q(i)(q)."""
     if not report.basis:
         return 0
-    if point == "generic":
+    if N == "generic":
         p, i = _modular_point(4)
         q = GENERIC_Q_RESIDUE
     else:
-        if isinstance(point, int):
-            point = SpecializationPoint(point)
-        p, q = _modular_point(point.order)
-        i = pow(q, point.N, p)
+        p, q = _modular_point(point_order(N))
+        i = pow(q, N, p)
     inverses = {}  # each distinct denominator is inverted once
     rows = _entrywise(report, lambda c: residue(c, p, q, i, inverses))
     if not any(None in row for row in rows) and _rank_mod_p(rows, p) == report.dimension:
         return report.dimension
-    if point == "generic":
+    if N == "generic":
         return matrix_rank(report.entries)
-    inverses = {}
     try:
-        mat = _entrywise(report, lambda c: specialize(c, point, inverses))
+        mat = _entrywise(report, lambda c: specialize(c, N))
     except PoleError as exc:
-        raise PoleError(f"Gram entry has a pole at N={point.N}: {exc}") from exc
+        raise PoleError(f"Gram entry has a pole at N={N}: {exc}") from exc
     return matrix_rank(mat)
 
 

@@ -289,6 +289,56 @@ def test_gram_bad_signature_before_the_work_bounds(capsys, source, target):
     assert err == f"error: bad signature {bad!r}\n"
 
 
+# every nonzero-dimension pair up to 3 strands with an unsorted signature and
+# a sorted one (swapped below), then those with two unsorted signatures
+UNSORTED_PAIRS = [("-+", ""), ("-+", "+-"), ("+-+", "+"), ("+-+", "++-"), ("-++", "+"),
+                  ("-++", "++-"), ("-+-", "-"), ("--+", "-"), ("++-+", "++"),
+                  ("+-++", "++"), ("-+++", "++"), ("+-+-", ""), ("+--+", ""),
+                  ("-++-", ""), ("-+-+", ""), ("--++", "")]
+BOTH_UNSORTED = [("-+", "-+"), ("+-+", "+-+"), ("+-+", "-++"), ("-++", "+-+"),
+                 ("-++", "-++")]
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    UNSORTED_PAIRS + [(t, s) for s, t in UNSORTED_PAIRS] + BOTH_UNSORTED,
+)
+def test_gram_names_an_unsorted_signature(capsys, source, target):
+    # refused before the skein layer; with two unsorted signatures, the source is named
+    code, out, err = run(capsys, "gram", f"--source={source}", f"--target={target}")
+    assert code == 2 and out == ""
+    bad = source if "-+" in source else target
+    assert err == (f"error: signature {bad!r} is not sorted: gram needs signatures "
+                   "sorted like '++--'\n")
+
+
+def test_gram_unsorted_zero_dimension_is_empty(capsys):
+    code, out, err = run(capsys, "gram", "--source=-+", "--target=++", "--spec", "2")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["dimension"] == 0 and payload["ranks"] == {"2": 0}
+
+
+def test_gram_text_lists_ranks_by_level(capsys):
+    code, out, err = run(capsys, "gram", "--source", "++", "--target", "++",
+                         "--spec", "10", "--spec", "2", "--spec", "5", "--generic",
+                         "--format", "text")
+    assert code == 0 and err == ""
+    assert out == ("dim 4\nrank at N=2: 2\nrank at N=5: 4\nrank at N=10: 4\n"
+                   "generic rank: 4\n")
+
+
+@pytest.mark.parametrize("n, word", [(2, "t1"), (3, "t1 e2 t2'")])
+def test_trace_text_prints_the_json_strings(capsys, n, word):
+    argv = ("trace", "--n", str(n), "--word", word, "--spec", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert code == 0 and err == ""
+    assert out == f"{payload['trace']}\n{payload['spec']['value']}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -169,25 +169,25 @@ def test_poles_and_zero_denominators():
 
 
 def test_shared_denominator_inverses_give_the_same_values():
+    # q^j (q^2 - 1)^k denominators take no inverse; the other denominators,
+    # q - 1 (from loop_value() * (q + 1) = 2iq/(q - 1)) and phi12, are
+    # inverted per call
     entries = [loop_value() ** k * (Q + k) for k in range(-2, 4)] + [q_power(-3), ONE]
     phi12 = Q ** 4 - Q ** 2 + 1  # vanishes at zeta_12, so N = 3 is a pole
     others = [ONE / phi12, Q / phi12, (Q + 2) / phi12]
     for N in range(2, 9):
-        inverses = {}
-        shared = [specialize(f, N, inverses) for f in entries + entries]
-        assert shared == [specialize(f, N) for f in entries + entries]
-        # q^j (q^2 - 1)^k denominators take no inverse; the one other
-        # denominator is q - 1, from loop_value() * (q + 1) = 2iq/(q - 1)
-        assert list(inverses) == [((-1, 1), ())]
-        inverses = {}
+        loop = specialize(loop_value(), N)
+        values = [specialize(f, N) for f in entries]
+        assert values[:6] == [loop ** k * specialize(Q + k, N) for k in range(-2, 4)]
+        assert values[6:] == [specialize(Q, N) ** -3, 1]
         if N == 3:
             for f in others:
-                assert outcome(specialize, f, N, inverses) is PoleError
-            assert inverses == {}
+                assert outcome(specialize, f, N) is PoleError
             continue
-        shared = [specialize(f, N, inverses) for f in others + others]
-        assert shared == [specialize(f, N) for f in others + others]
-        assert list(inverses) == [((1, 0, -1, 0, 1), ())]
+        values = [specialize(f, N) for f in others]
+        assert [v * specialize(phi12, N) for v in values] == [
+            specialize(f * phi12, N) for f in others]
+        assert values[1] == specialize(Q, N) * values[0]
 
 
 def family_value(rng, j: int, k: int) -> ScalarQ:

@@ -21,7 +21,6 @@ from skeinhc.scalars import (
     CyclotomicField,
     CyclotomicValue,
     ScalarQ,
-    SpecializationPoint,
     cyclotomic_polynomial,
     loop_value,
     parse_scalar,
@@ -60,10 +59,10 @@ def test_loop_value():
 
 def test_specialize_basics():
     zeta = CyclotomicValue(8, [0, 1])
-    assert specialize(Q, SpecializationPoint(2)) == zeta
-    assert specialize(I, SpecializationPoint(2)) == zeta ** 2
+    assert specialize(Q, 2) == zeta
+    assert specialize(I, 2) == zeta ** 2
     for N in range(2, 7):
-        assert specialize(I, SpecializationPoint(N)) ** 2 == -1
+        assert specialize(I, N) ** 2 == -1
 
 
 def test_specialize_loop_matches_independent_formula():
@@ -71,44 +70,45 @@ def test_specialize_loop_matches_independent_formula():
     for N in (2, 3, 4):
         fld = CyclotomicField(N)
         independent = (2 * fld.zeta ** N) / (fld.zeta - fld.zeta.inv())
-        assert specialize(loop_value(), SpecializationPoint(N)) == independent
+        assert specialize(loop_value(), N) == independent
 
 
 def test_loop_value_real_and_positive_at_special_points():
     for N in (2, 3, 4):
-        v = specialize(loop_value(), SpecializationPoint(N))
+        v = specialize(loop_value(), N)
         assert v.conjugate() == v  # exactly real
         approx = complex(v)
         assert abs(approx.imag) < 1e-9 and approx.real > 0.5
 
 
 def test_loop_value_at_small_points():
-    v2 = specialize(loop_value(), SpecializationPoint(2))
+    v2 = specialize(loop_value(), 2)
     zeta = CyclotomicValue(8, [0, 1])
     assert v2 == zeta + zeta.inv()
-    assert specialize(loop_value(), SpecializationPoint(3)) == CyclotomicValue(12, [2])
+    assert specialize(loop_value(), 3) == CyclotomicValue(12, [2])
 
 
 def test_pole_error():
     f = ONE / (Q ** 4 + 1)  # vanishes at zeta_8
     with pytest.raises(PoleError):
-        specialize(f, SpecializationPoint(2))
+        specialize(f, 2)
     # but is perfectly finite at N = 3
-    specialize(f, SpecializationPoint(3))
+    specialize(f, 3)
 
 
 def test_no_pole_at_q_minus_one():
     # 1/(q - 1) never has a pole at the distinguished points: zeta_4N != 1
     g = ONE / (Q - 1)
     for N in (2, 3, 4, 5):
-        value = specialize(g, SpecializationPoint(N))
+        value = specialize(g, N)
         assert not value.is_zero
-        assert value * specialize(Q - 1, SpecializationPoint(N)) == 1
+        assert value * specialize(Q - 1, N) == 1
 
 
 def test_specialization_point_requires_n_at_least_two():
-    with pytest.raises(DomainError):
-        SpecializationPoint(1)
+    for N in (1, 101):
+        with pytest.raises(DomainError, match="require 2 <= N <= 100"):
+            specialize(Q, N)
 
 
 def test_homomorphism_property_random():
@@ -117,9 +117,8 @@ def test_homomorphism_property_random():
         a = Q ** rng.randint(-3, 3) * (rng.randint(-4, 4) + rng.randint(-4, 4) * I) + ONE
         b = Z ** rng.randint(0, 2) + I * Q ** rng.randint(-2, 2)
         N = rng.choice([2, 3, 5])
-        pt = SpecializationPoint(N)
-        assert specialize(a * b, pt) == specialize(a, pt) * specialize(b, pt)
-        assert specialize(a + b, pt) == specialize(a, pt) + specialize(b, pt)
+        assert specialize(a * b, N) == specialize(a, N) * specialize(b, N)
+        assert specialize(a + b, N) == specialize(a, N) + specialize(b, N)
 
 
 def test_cyclotomic_polynomial_values():

@@ -28,7 +28,6 @@ from skeinhc.scalars import (
     QIQ,
     CyclotomicField,
     ScalarQ,
-    SpecializationPoint,
     _is_prime,
     _modular_point,
     residue,
@@ -155,7 +154,7 @@ def test_specialized_trace_commutes():
             n = rng.randint(2, 3)
             x = rand_even(n, rng, 4)
             assert markov_trace_at(x, N) == specialize(
-                markov_trace(x), SpecializationPoint(N)
+                markov_trace(x), N
             )
 
 
