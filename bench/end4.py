@@ -8,11 +8,11 @@ entry records the assembly time of ``gram_matrix('++++', '++++')``, whether
 the matrix is symmetric, for each N the rank at q = zeta_4N with its time
 and the path-count prediction ``rank_oracle(4, N)``, and the certified
 generic rank with its time.  It also times the trace vector of End(+^5)
-from cold caches, building every right-action row of End(+^5) (each basis
-monomial times each t_j and e_j) and assembling the full
-``gram_matrix('++-', '++-')``.  It is merged into --out under the key
-``end4/direct``; other keys in the file are kept.  The script exits 1 if a
-rank differs from its prediction.
+from cold caches (the scalar tables ``_product`` and ``_sum`` included),
+building every right-action row of End(+^5) (each basis monomial times each
+t_j and e_j) and assembling the full ``gram_matrix('++-', '++-')``.  It is
+merged into --out under the key ``end4/direct``; other keys in the file
+are kept.  The script exits 1 if a rank differs from its prediction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from skeinhc.hecke_clifford import (  # noqa: E402
     _right_action,
     basis_keys_even,
 )
-from skeinhc.scalars import QIQ  # noqa: E402
+from skeinhc.scalars import QIQ, _product, _sum  # noqa: E402
 from skeinhc.trace_gram import (  # noqa: E402
     _close_monomial,
     _trace_vector,
@@ -77,7 +77,8 @@ def main() -> int:
     start = time.perf_counter()
     gram_matrix("++-", "++-")
     entry["gram_mixed3_s"] = time.perf_counter() - start
-    for table in (_close_monomial, _ladder_moves, _right_action, _trace_vector):
+    for table in (_close_monomial, _ladder_moves, _right_action, _trace_vector,
+                  _product, _sum):
         table.cache_clear()
     start = time.perf_counter()
     _trace_vector(5, QIQ)

@@ -72,6 +72,22 @@ MUTANTS = [
      "                    if c.is_zero:\n                        del out[key]\n"
      "                    else:\n",
      "                    if True:\n"),
+    ("ScalarQ.__add__ passing sign 1 to _sum whatever the sign", "scalars.py",
+     "        return _sum(self._parts, _scalar(other)._parts, sign)\n",
+     "        return _sum(self._parts, _scalar(other)._parts, 1)\n"),
+    ("the product table keyed by the first operand only", "scalars.py",
+     "@lru_cache(maxsize=1 << 14)\ndef _product(a: tuple, b: tuple) -> ScalarQ:\n",
+     "def _by_first(kernel):\n"
+     "    second = [None]\n"
+     "    table = lru_cache(maxsize=1 << 14)(lambda a: kernel(a, second[0]))\n"
+     "    def product(a, b):\n"
+     "        second[0] = b\n"
+     "        return table(a)\n"
+     "    product.cache_info, product.cache_clear = table.cache_info, table.cache_clear\n"
+     "    return product\n"
+     "\n"
+     "\n"
+     "@_by_first\ndef _product(a: tuple, b: tuple) -> ScalarQ:\n"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",

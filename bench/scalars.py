@@ -6,8 +6,8 @@ specialization, for a BENCH_*.json entry.
 Run from the root of a checkout; the package is imported from ./src, so the
 same script times any checkout that has the private helpers it reads
 (``_canonical``, ``_gmul``, ``_comb``, ``_exponents``, ``ScalarQ._jk``,
-``_right_action``, ``CyclotomicField._image``).  The operand mix is fixed
-and seeded:
+``_mul``, ``_add``, ``_product``, ``_sum``, ``_right_action``,
+``CyclotomicField._image``).  The operand mix is fixed and seeded:
 
 * action coefficients: every coefficient of the ``_right_action`` rows of
   t_j, t_j^(-1) and e_j on the even basis of 4 strands (mostly 1 and -1);
@@ -22,16 +22,20 @@ Products are state times action coefficient, as in the even action; sums
 add a product to another state; negations negate each product.  ``str``
 prints every state, and ``specialize`` sends every state, and separately
 every state over q^j (q^2 - 1)^k with k > 0, to q = zeta_32 (N = 8), one
-call per value, as in ``trace --spec``.  Each list is timed
-REPEATS times and the fastest run is kept.  Every product, sum and negation
-is then compared with ``_canonical`` applied to the unreduced parts, and
-its carried exponents ``_jk`` with ``_exponents`` of its denominator (as
-are those of every parsed string); every string with ``parse_scalar`` of
-it and with a text built here from the int parts ``_parts``; every image
-with the image of the
-numerator times the ``CyclotomicValue.inv`` of the image of the
-denominator.  The script exits 1 on any mismatch.  The entry is merged into
---out under --key; other keys in the file are kept.
+call per value, as in ``trace --spec``.  Each list is timed REPEATS times
+and the fastest run is kept.  Products and sums are timed three ways:
+through the kernels ``_mul`` and ``_add`` alone; through the operators with
+the tables ``_product`` and ``_sum`` cleared before each run, so that the
+kernel runs once per distinct pair of the list; and through the operators
+on the tables the last run filled, where every operation is a hit.  Every
+product, sum and negation is then compared with ``_canonical`` applied to
+the unreduced parts, and its carried exponents ``_jk`` with ``_exponents``
+of its denominator (as are those of every parsed string); every string with
+``parse_scalar`` of it and with a text built here from the int parts
+``_parts``; every image with the image of the numerator times the
+``CyclotomicValue.inv`` of the image of the denominator.  The script exits
+1 on any mismatch.  The entry is merged into --out under --key; other keys
+in the file are kept.
 """
 
 from __future__ import annotations
@@ -55,7 +59,11 @@ from skeinhc.scalars import (  # noqa: E402
     _canonical,
     _comb,
     _exponents,
+    _add,
     _gmul,
+    _mul,
+    _product,
+    _sum,
     loop_value,
     parse_scalar,
     specialize,
@@ -154,9 +162,15 @@ def quotient_image(x: ScalarQ, field: CyclotomicField) -> CyclotomicValue:
     return num * CyclotomicValue(field.order, field._image(dr, di), 1).inv()
 
 
-def fastest(fn) -> tuple:
+def clear_tables() -> None:
+    _product.cache_clear()
+    _sum.cache_clear()
+
+
+def fastest(fn, before=lambda: None) -> tuple:
     best, value = float("inf"), None
     for _ in range(REPEATS):
+        before()
         start = time.perf_counter()
         value = fn()
         best = min(best, time.perf_counter() - start)
@@ -185,9 +199,15 @@ def main() -> int:
     rng = random.Random(13)
     actions, states = operands(rng)
     pairs = [(rng.choice(states), rng.choice(actions)) for _ in range(OPERATIONS)]
-    products, mul_s = fastest(lambda: [a * b for a, b in pairs])
+    _, mul_kernel_s = fastest(lambda: [_mul(a, b) for a, b in pairs])
+    products, mul_s = fastest(lambda: [a * b for a, b in pairs], clear_tables)
+    mul_kernel_calls = _product.cache_info().misses
+    _, mul_warm_s = fastest(lambda: [a * b for a, b in pairs])
     addends = [(p, rng.choice(states)) for p in products]
-    sums, add_s = fastest(lambda: [a + b for a, b in addends])
+    _, add_kernel_s = fastest(lambda: [_add(a, b) for a, b in addends])
+    sums, add_s = fastest(lambda: [a + b for a, b in addends], clear_tables)
+    add_kernel_calls = _sum.cache_info().misses
+    _, add_warm_s = fastest(lambda: [a + b for a, b in addends])
     negations, neg_s = fastest(lambda: [-a for a in products])
     kinds = [denominator_kind(s) for s in states]
     family = [s for s, kind in zip(states, kinds) if kind == "family"]
@@ -226,8 +246,13 @@ def main() -> int:
                      "states": len(states), "distinct_states": len(distinct),
                      "laurent_states": kinds.count("laurent"),
                      "family_states": kinds.count("family")},
-        "products": {"ops": len(pairs), "seconds": mul_s},
-        "sums": {"ops": len(addends), "seconds": add_s},
+        "products_kernel": {"ops": len(pairs), "seconds": mul_kernel_s},
+        "products": {"ops": len(pairs), "seconds": mul_s,
+                     "kernel_calls": mul_kernel_calls},
+        "products_warm": {"ops": len(pairs), "seconds": mul_warm_s},
+        "sums_kernel": {"ops": len(addends), "seconds": add_kernel_s},
+        "sums": {"ops": len(addends), "seconds": add_s, "kernel_calls": add_kernel_calls},
+        "sums_warm": {"ops": len(addends), "seconds": add_warm_s},
         "negations": {"ops": len(products), "seconds": neg_s},
         "str": {"ops": len(states), "seconds": str_s, "mismatches": text_mismatches},
         "specialize": {"N": SPEC_N, "ops": len(states), "seconds": spec_s},

@@ -9,7 +9,9 @@ Two layers:
   canonical by construction skip `_canonical`: a product by 1 or -1 and a
   negation (the negated numerator keeps the denominator and its positive
   integer lead), and products, quotients and sums of values over
-  q^j (q^2 - 1)^k (a loop is 2iq/(q^2 - 1)), see `_family`.
+  q^j (q^2 - 1)^k (a loop is 2iq/(q^2 - 1)), see `_family`.  Products
+  and sums are looked up in two tables of the process, `_product` and
+  `_sum`, keyed by the operands' parts.
 * :class:`CyclotomicValue` -- elements of Q(zeta_m) as an integer vector
   modulo the m-th cyclotomic polynomial over one positive integer
   denominator.  The specialization points of interest send q to the
@@ -270,25 +272,7 @@ class ScalarQ:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other, sign=1):
-        nr, ni, dr, di = self._parts
-        other = _scalar(other)
-        onr, oni, odr, odi = other._parts
-        jk = self._jk
-        if dr == odr and di == odi:
-            num = _comb(1, nr, sign, onr), _comb(1, ni, sign, oni)
-            return _family(*num, *jk) if jk else ScalarQ(_parts=(*num, dr, di))
-        ojk = jk and other._jk
-        if ojk:  # over q^max(j) (q^2 - 1)^max(k)
-            (j, k), (oj, ok) = jk, ojk
-            mj, mk = max(j, oj), max(k, ok)
-            a, b = (mj - j, mk - k), (mj - oj, mk - ok)
-            re = _comb(1, _scaled(nr, *a), sign, _scaled(onr, *b))
-            im = _comb(1, _scaled(ni, *a), sign, _scaled(oni, *b))
-            return _family(re, im, mj, mk)
-        ar, ai = _gmul(nr, ni, odr, odi)
-        br, bi = _gmul(onr, oni, dr, di)
-        den = _gmul(dr, di, odr, odi)
-        return ScalarQ(_parts=(_comb(1, ar, sign, br), _comb(1, ai, sign, bi), *den))
+        return _sum(self._parts, _scalar(other)._parts, sign)
 
     __radd__ = __add__
 
@@ -298,28 +282,22 @@ class ScalarQ:
     def __rsub__(self, other):
         return _scalar(other) - self
 
-    def __mul__(self, other, invert=False):
-        nr, ni, dr, di = self._parts
+    def __mul__(self, other):
         other = _scalar(other)
-        if other._parts == _PLUS_ONE:  # 1 and -1 are their own inverses
+        if other._parts == _PLUS_ONE:
             return self
         if other._parts == _MINUS_ONE:
             return -self
-        onr, oni, odr, odi = other._parts
-        jk, ojk = self._jk, other._jk
-        if invert:
-            if not (onr or oni):
-                raise DomainError("division by zero scalar")
-            onr, oni, odr, odi = odr, odi, onr, oni
-            ojk = jk and _exponents(odr, odi)
-        if jk and ojk:
-            return _family(*_gmul(nr, ni, onr, oni), jk[0] + ojk[0], jk[1] + ojk[1])
-        return ScalarQ(_parts=(*_gmul(nr, ni, onr, oni), *_gmul(dr, di, odr, odi)))
+        if self._parts == _PLUS_ONE:
+            return other
+        if self._parts == _MINUS_ONE:
+            return -other
+        return _product(self._parts, other._parts)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self.__mul__(other, True)
+        return _mul(self, _scalar(other), True)
 
     def __rtruediv__(self, other):
         return _scalar(other) / self
@@ -370,6 +348,60 @@ class ScalarQ:
         if max(len(nr), len(ni)) > 1 or (nr and ni):
             num = f"({num})"
         return f"{num}/({_poly_str(dr, di, dr[-1])})"
+
+
+def _add(a: ScalarQ, b: ScalarQ, sign: int = 1) -> ScalarQ:
+    """a + sign*b, uncached."""
+    nr, ni, dr, di = a._parts
+    onr, oni, odr, odi = b._parts
+    jk = a._jk
+    if dr == odr and di == odi:
+        num = _comb(1, nr, sign, onr), _comb(1, ni, sign, oni)
+        return _family(*num, *jk) if jk else ScalarQ(_parts=(*num, dr, di))
+    ojk = jk and b._jk
+    if ojk:  # over q^max(j) (q^2 - 1)^max(k)
+        (j, k), (oj, ok) = jk, ojk
+        mj, mk = max(j, oj), max(k, ok)
+        u, v = (mj - j, mk - k), (mj - oj, mk - ok)
+        re = _comb(1, _scaled(nr, *u), sign, _scaled(onr, *v))
+        im = _comb(1, _scaled(ni, *u), sign, _scaled(oni, *v))
+        return _family(re, im, mj, mk)
+    ar, ai = _gmul(nr, ni, odr, odi)
+    br, bi = _gmul(onr, oni, dr, di)
+    den = _gmul(dr, di, odr, odi)
+    return ScalarQ(_parts=(_comb(1, ar, sign, br), _comb(1, ai, sign, bi), *den))
+
+
+def _mul(a: ScalarQ, b: ScalarQ, invert: bool = False) -> ScalarQ:
+    """a*b, or a/b with invert, uncached."""
+    if b._parts == _PLUS_ONE:  # 1 and -1 are their own inverses
+        return a
+    if b._parts == _MINUS_ONE:
+        return -a
+    nr, ni, dr, di = a._parts
+    onr, oni, odr, odi = b._parts
+    jk, ojk = a._jk, b._jk
+    if invert:
+        if not (onr or oni):
+            raise DomainError("division by zero scalar")
+        onr, oni, odr, odi = odr, odi, onr, oni
+        ojk = jk and _exponents(odr, odi)
+    if jk and ojk:
+        return _family(*_gmul(nr, ni, onr, oni), jk[0] + ojk[0], jk[1] + ojk[1])
+    return ScalarQ(_parts=(*_gmul(nr, ni, onr, oni), *_gmul(dr, di, odr, odi)))
+
+
+# The products and sums of the process, keyed by the operands' canonical
+# parts: equal parts are equal values and a ScalarQ is immutable, so a stored
+# result is the one the kernel would return.  Division is not stored.
+@lru_cache(maxsize=1 << 14)
+def _product(a: tuple, b: tuple) -> ScalarQ:
+    return _mul(_new(a, _exponents(*a[2:])), _new(b, _exponents(*b[2:])))
+
+
+@lru_cache(maxsize=1 << 14)
+def _sum(a: tuple, b: tuple, sign: int) -> ScalarQ:
+    return _add(_new(a, _exponents(*a[2:])), _new(b, _exponents(*b[2:])), sign)
 
 
 def _power(x, k: int, one):

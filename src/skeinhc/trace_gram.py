@@ -281,15 +281,17 @@ def gram_rank(report: GramReport, N) -> int:
     0, so full rank mod p certifies the rank.  Below full rank, or where a
     denominator vanishes mod p, the matrix is eliminated exactly: over
     Q(zeta_4N) after `specialize` (a genuine pole raises PoleError), or over
-    Q(i)(q)."""
+    Q(i)(q).  N is checked first, also for a matrix of dimension 0."""
+    if N == "generic":
+        m = 4
+    elif isinstance(N, int):
+        m = point_order(N)
+    else:
+        raise DomainError(f"gram_rank takes an int N or 'generic', not {N!r}")
     if not report.basis:
         return 0
-    if N == "generic":
-        p, i = _modular_point(4)
-        q = GENERIC_Q_RESIDUE
-    else:
-        p, q = _modular_point(point_order(N))
-        i = pow(q, N, p)
+    p, zeta = _modular_point(m)
+    q, i = (GENERIC_Q_RESIDUE, zeta) if N == "generic" else (zeta, pow(zeta, N, p))
     inverses = {}  # each distinct denominator is inverted once
     rows = _entrywise(report, lambda c: residue(c, p, q, i, inverses))
     if not any(None in row for row in rows) and _rank_mod_p(rows, p) == report.dimension:

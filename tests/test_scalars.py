@@ -1,6 +1,7 @@
 """Exact arithmetic: normalization, specialization, parsing."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mod_p import assert_canonical
 from skeinhc import scalars
 from skeinhc.errors import DomainError, PoleError
 from skeinhc.scalars import (
@@ -27,7 +29,7 @@ from skeinhc.scalars import (
     q_power,
     specialize,
 )
-from skeinhc.scalars import _canonical, _comb, _exponents, _gmul, _trim
+from skeinhc.scalars import _add, _canonical, _comb, _exponents, _gmul, _mul, _trim
 
 Z = QIQ.z
 
@@ -252,3 +254,39 @@ def test_hash_agrees_with_equality():
     assert table[ScalarQ(half)] == table[CyclotomicValue(12, [half])] == "half"
     assert table[I] == "i"
     assert Q not in table and CyclotomicValue(8, [0, 1]) not in table
+
+
+def test_memo_tables_return_the_kernel_results():
+    rng = random.Random(29)
+    values = [_random_value(rng, kind) for kind in KINDS * 3]
+    for a, b in itertools.product(values, repeat=2):
+        for result, kernel in ((a * b, _mul(a, b)), (a + b, _add(a, b)),
+                               (a - b, _add(a, b, -1))):
+            assert (result._parts, result._jk) == (kernel._parts, kernel._jk), (a, b)
+            assert_canonical(result)
+
+
+def test_memo_tables_share_one_result():
+    a, b = loop_value() + Q, I * Q + 3
+    assert a * b is a * b
+    assert a + b is a + b and a - b is a - b
+    values = a, b, I, -I, ZERO, loop_value()
+    before = scalars._product.cache_info()
+    for x in values:  # a unit on the left is not looked up
+        assert ONE * x is x
+        assert (-ONE * x)._parts == (-x)._parts
+    assert scalars._product.cache_info() == before
+
+
+def test_product_table_stays_bounded():
+    side = math.isqrt(scalars._product.cache_info().maxsize) + 2
+    consts = [ScalarQ(k) for k in range(2, side + 2)]
+    powers = [q_power(j) for j in range(side)]
+    # side^2 distinct products overflow the table: the second pass finds the
+    # first products evicted
+    for _ in range(2):
+        for k, c in enumerate(consts, 2):
+            for j, power in enumerate(powers):
+                assert (c * power)._parts == ((0,) * j + (k,), (), (1,), ())
+    info = scalars._product.cache_info()
+    assert info.currsize == info.maxsize

@@ -313,6 +313,13 @@ def test_gram_zero_space():
     assert gram_rank(r, 5) == 0
 
 
+@pytest.mark.parametrize("sig, N", [("-", 1), ("-", "bogus"), ("+", "bogus")])
+def test_gram_rank_checks_the_point_first(sig, N):
+    # also where the matrix has dimension 0 and the rank would be 0 at any point
+    with pytest.raises(DomainError):
+        gram_rank(gram_matrix("+", sig), N)
+
+
 def test_gram_ranks():
     r2 = gram_matrix("++", "++")
     assert gram_rank(r2, 5) == 4
